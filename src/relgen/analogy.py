@@ -22,21 +22,19 @@ from .core import (
     PosteriorSamples,
     RelationData,
     StoredSystem,
+    _cell_indices,
     bernoulli_loglik,
     clamp_probs,
     predictive_prob,
 )
-from .irm import McmcSchedule, _sample_index
+from .irm import McmcSchedule, _sample_logweights
 
 
-def _log_link_tables(system: StoredSystem):
+def _log_tables(system: StoredSystem):
+    """(log link, log no-link, log class prior) tables of one system."""
     p = clamp_probs(system.link_probs)
-    return np.log(p), np.log1p(-p)
-
-
-def _log_class_prior(system: StoredSystem) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return np.log(system.class_probs)
+        return np.log(p), np.log1p(-p), np.log(system.class_probs)
 
 
 def _stored_entity_logweights(z, view, log_link, log_nolink, log_prior):
@@ -53,6 +51,14 @@ def _stored_entity_logweights(z, view, log_link, log_nolink, log_prior):
     elif view.self_value == 0:
         logw += np.diagonal(log_nolink)
     return logw
+
+
+def _sweep_stored(z, views, tables, rng) -> None:
+    """Gibbs-reassign every entity in index order, in place."""
+    log_link, log_nolink, log_prior = tables
+    for i, view in enumerate(views):
+        logw = _stored_entity_logweights(z, view, log_link, log_nolink, log_prior)
+        z[i] = _sample_logweights(logw, rng)
 
 
 def gibbs_sweep_stored(
@@ -73,14 +79,7 @@ def gibbs_sweep_stored(
     m = system.n_classes
     if z.size and (z.min() < 0 or z.max() >= m):
         raise DimensionError(f"assignment label out of range for {m} classes")
-    log_link, log_nolink = _log_link_tables(system)
-    log_prior = _log_class_prior(system)
-    views = data.entity_views
-    for i in range(data.n_entities):
-        logw = _stored_entity_logweights(z, views[i], log_link, log_nolink, log_prior)
-        logw = logw - logw.max()
-        probs = np.exp(logw)
-        z[i] = _sample_index(probs / probs.sum(), rng)
+    _sweep_stored(z, data.entity_views, _log_tables(system), rng)
     return z
 
 
@@ -91,6 +90,25 @@ def sample_stored_assignments(
     cum = np.cumsum(system.class_probs)
     z = np.searchsorted(cum, rng.random(n_entities), side="right")
     return np.minimum(z, system.n_classes - 1).astype(np.int64)
+
+
+def _swap_proposal(data, system, z, ll, log_prior, a: int, b: int):
+    """Exchange the entities of classes a and b wholesale.
+
+    Returns the proposal, its log-likelihood and its log-joint gain over
+    ``z`` (likelihood change plus class-prior delta), or None when both
+    classes are empty.
+    """
+    in_a = z == a
+    in_b = z == b
+    if not (in_a.any() or in_b.any()):
+        return None
+    proposal = z.copy()
+    proposal[in_a] = b
+    proposal[in_b] = a
+    new_ll = bernoulli_loglik(data, proposal, system.link_probs)
+    prior_delta = (int(in_a.sum()) - int(in_b.sum())) * (log_prior[b] - log_prior[a])
+    return proposal, new_ll, new_ll - ll + prior_delta
 
 
 def _class_swap_move(
@@ -113,19 +131,12 @@ def _class_swap_move(
     if live.size < 2:
         return z, current_ll
     pick = rng.permutation(live.size)[:2]
-    a, b = int(live[pick[0]]), int(live[pick[1]])
-    in_a = z == a
-    in_b = z == b
-    if not (in_a.any() or in_b.any()):
-        return z, current_ll
-    proposal = z.copy()
-    proposal[in_a] = b
-    proposal[in_b] = a
-    new_ll = bernoulli_loglik(data, proposal, system.link_probs)
-    prior_delta = (int(in_a.sum()) - int(in_b.sum())) * (
-        log_prior[b] - log_prior[a]
+    move = _swap_proposal(
+        data, system, z, current_ll, log_prior, int(live[pick[0]]), int(live[pick[1]])
     )
-    log_ratio = new_ll - current_ll + prior_delta
+    if move is None:
+        return z, current_ll
+    proposal, new_ll, log_ratio = move
     if log_ratio >= 0 or rng.random() < np.exp(log_ratio):
         return proposal, new_ll
     return z, current_ll
@@ -138,9 +149,7 @@ INIT_GREEDY_SWEEPS = 6
 def _greedy_candidate(
     data: RelationData,
     system: StoredSystem,
-    log_link: np.ndarray,
-    log_nolink: np.ndarray,
-    log_prior: np.ndarray,
+    tables,
     live: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
@@ -150,34 +159,19 @@ def _greedy_candidate(
     local optimum of the joint in a handful of sweeps; the caller keeps the
     best candidate across restarts.  Returns the state and its log joint.
     """
-    views = data.entity_views
+    log_prior = tables[2]
     z = sample_stored_assignments(system, data.n_entities, rng)
     for _ in range(INIT_GREEDY_SWEEPS):
-        for i in range(data.n_entities):
-            logw = _stored_entity_logweights(
-                z, views[i], log_link, log_nolink, log_prior
-            )
-            z[i] = int(np.argmax(logw))
+        for i, view in enumerate(data.entity_views):
+            z[i] = int(np.argmax(_stored_entity_logweights(z, view, *tables)))
         ll = bernoulli_loglik(data, z, system.link_probs)
         for a_pos in range(live.size):
             for b_pos in range(a_pos + 1, live.size):
-                a, b = int(live[a_pos]), int(live[b_pos])
-                in_a = z == a
-                in_b = z == b
-                if not (in_a.any() or in_b.any()):
-                    continue
-                proposal = z.copy()
-                proposal[in_a] = b
-                proposal[in_b] = a
-                new_ll = bernoulli_loglik(data, proposal, system.link_probs)
-                gain = (
-                    new_ll
-                    - ll
-                    + (int(in_a.sum()) - int(in_b.sum()))
-                    * (log_prior[b] - log_prior[a])
+                move = _swap_proposal(
+                    data, system, z, ll, log_prior, int(live[a_pos]), int(live[b_pos])
                 )
-                if gain > 0:
-                    z, ll = proposal, new_ll
+                if move is not None and move[2] > 0:
+                    z, ll = move[0], move[1]
     joint = float(ll + log_prior[z].sum())
     return z, joint
 
@@ -199,33 +193,19 @@ def run_stored_chain(
     ``schedule.seed``.
     """
     rng = np.random.default_rng(schedule.seed)
-    log_link, log_nolink = _log_link_tables(system)
-    log_prior = _log_class_prior(system)
+    tables = _log_tables(system)
     live = np.flatnonzero(system.class_probs > 0.0)
-    z, best = _greedy_candidate(
-        data, system, log_link, log_nolink, log_prior, live, rng
-    )
+    z, best = _greedy_candidate(data, system, tables, live, rng)
     for _ in range(INIT_RESTARTS - 1):
-        cand, joint = _greedy_candidate(
-            data, system, log_link, log_nolink, log_prior, live, rng
-        )
+        cand, joint = _greedy_candidate(data, system, tables, live, rng)
         if joint > best:
             z, best = cand, joint
-    views = data.entity_views
-    n = data.n_entities
-
     retained: list[np.ndarray] = []
     logliks: list[float] = []
     for sweep in range(schedule.total_sweeps):
-        for i in range(n):
-            logw = _stored_entity_logweights(
-                z, views[i], log_link, log_nolink, log_prior
-            )
-            logw = logw - logw.max()
-            probs = np.exp(logw)
-            z[i] = _sample_index(probs / probs.sum(), rng)
+        _sweep_stored(z, data.entity_views, tables, rng)
         ll = bernoulli_loglik(data, z, system.link_probs)
-        z, ll = _class_swap_move(data, system, z, ll, log_prior, live, rng)
+        z, ll = _class_swap_move(data, system, z, ll, tables[2], live, rng)
         done = sweep - schedule.burn_in + 1
         if done >= 1 and done % schedule.thinning == 0:
             retained.append(z.copy())
@@ -285,13 +265,11 @@ def stored_component_predictions(
     retained assignment draws.  Unclamped; mixing and clamping happen in
     ``predictive_prob``.
     """
-    cells = list(cells)
-    if not cells:
+    rows, cols = _cell_indices(cells, samples.partitions[0].size)
+    if not rows.size:
         return np.empty(0)
-    rows = np.asarray([r for r, _ in cells], dtype=np.int64)
-    cols = np.asarray([c for _, c in cells], dtype=np.int64)
     link = system.link_probs
-    acc = np.zeros(len(cells))
+    acc = np.zeros(rows.size)
     for z in samples.partitions:
         acc += link[z[rows], z[cols]]
     return acc / samples.n_draws
@@ -373,9 +351,4 @@ def analogy_predict_cells(
             for s, sys in zip(samples_list, systems)
         ]
     )
-    return np.asarray([predictive_prob(comps[i], w) for i in range(len(cells))])
-
-
-def analogy_predict(samples_list, systems, weights, cell) -> float:
-    """Mixture predictive probability for one cell."""
-    return float(analogy_predict_cells(samples_list, systems, weights, [cell])[0])
+    return predictive_prob(comps, w)

@@ -21,7 +21,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -337,7 +336,13 @@ def _pool_for(config: ExperimentConfig, systems, task: RowTask) -> list[StoredSy
     pool = [others[i] for i in order]
     if config.include_target_in_pool:
         pool = [systems[task.target_index]] + pool
-    k = task.n_stored or 0
+    return _pool_prefix(pool, task.n_stored or 0)
+
+
+def _pool_prefix(pool, k: int) -> list[StoredSystem]:
+    """The first k systems of a pool, for 1 <= k <= len(pool)."""
+    if k < 1:
+        raise ConfigError(f"pool size must be at least 1, got {k}")
     if k > len(pool):
         raise ConfigError(
             f"pool size {k} requested but only {len(pool)} systems available"
@@ -345,20 +350,62 @@ def _pool_for(config: ExperimentConfig, systems, task: RowTask) -> list[StoredSy
     return pool[:k]
 
 
-def _schedule(config: ExperimentConfig, seed: int) -> McmcSchedule:
-    return McmcSchedule(config.burn_in, config.n_retained, config.thinning, seed)
+def _schedule(config: ExperimentConfig) -> McmcSchedule:
+    return McmcSchedule(config.burn_in, config.n_retained, config.thinning)
 
 
-def _truths(data: RelationData) -> np.ndarray:
-    return np.asarray([data.cells[r, c] for r, c in data.test_cells], dtype=np.int64)
+def _truths(data: RelationData, cells) -> np.ndarray:
+    return np.asarray([data.cells[r, c] for r, c in cells], dtype=np.int64)
+
+
+# Chain launches and the tau search shared by grid rows and `relgen infer`.
+# Every chain seed derives from one base seed: the row seed in the grid, the
+# --seed flag in `infer`.
+
+def _stored_chains(data: RelationData, pool, schedule: McmcSchedule, base_seed: int):
+    return [
+        run_stored_chain(
+            data, s, schedule.with_seed(derive_seed(base_seed, "stored-chain", j))
+        )
+        for j, s in enumerate(pool)
+    ]
+
+
+def _theory_chain(data: RelationData, schedule: McmcSchedule, base_seed: int):
+    return run_irm_chain(
+        data, schedule.with_seed(derive_seed(base_seed, "theory-chain"))
+    )
+
+
+def _mixture(components, log_evidences, tau: float):
+    """Hybrid weights at tau and the mixture prediction for every cell."""
+    w = hybrid_weights(log_evidences, tau)
+    return w, predictive_prob(components, w)
 
 
 def _mixture_logpred(components, log_evidences, truths, tau: float) -> float:
-    w = hybrid_weights(log_evidences, tau)
-    preds = np.asarray(
-        [predictive_prob(components[i], w) for i in range(components.shape[0])]
+    return -evaluate(_mixture(components, log_evidences, tau)[1], truths)
+
+
+def _best_tau(components, log_evidences, truths, *bounds) -> float:
+    """tau maximizing the mixture's log predictive on the given cells.
+
+    ``bounds`` are optimize_tau's (lower, upper, tol); omitted, its defaults.
+    """
+    return optimize_tau(
+        lambda t: _mixture_logpred(components, log_evidences, truths, t), *bounds
     )
-    return -evaluate(preds, truths)
+
+
+def _hybrid_bits(names, components, log_evidences, truths, tau_star: float) -> dict:
+    """A hybrid row's scored fields at the chosen tau."""
+    w, preds = _mixture(components, log_evidences, tau_star)
+    return {
+        "score": evaluate(preds, truths),
+        "weights": tuple(zip(names, (float(x) for x in w[:-1]))),
+        "tau_star": float(tau_star),
+        "irm_weight": float(w[-1]),
+    }
 
 
 def _validation_cells(config, data: RelationData, task: RowTask) -> list:
@@ -380,13 +427,8 @@ def _validation_cells(config, data: RelationData, task: RowTask) -> list:
 
 def _run_hybrid(config, systems, task, data, truths):
     pool = _pool_for(config, systems, task)
-    chains = [
-        run_stored_chain(data, s, _schedule(config, derive_seed(task.seed, "stored-chain", j)))
-        for j, s in enumerate(pool)
-    ]
-    irm_samples = run_irm_chain(
-        data, _schedule(config, derive_seed(task.seed, "theory-chain"))
-    )
+    chains = _stored_chains(data, pool, _schedule(config), task.seed)
+    irm_samples = _theory_chain(data, _schedule(config), task.seed)
     log_ev = hybrid_log_evidences(chains, irm_samples)
     comps = hybrid_component_predictions(chains, irm_samples, pool, data, data.test_cells)
     names = tuple(s.name for s in pool)
@@ -395,39 +437,18 @@ def _run_hybrid(config, systems, task, data, truths):
         # tau is chosen later, jointly across rows; leave the row pending
         return None, _HybridPayload(task.n_stored, names, comps, log_ev, truths)
 
+    # per-cell: optimize directly against this row's held-out score
+    tau_comps, tau_truths = comps, truths
     if config.tau_mode == "validation-split":
         val_cells = _validation_cells(config, data, task)
-        val_truths = np.asarray(
-            [data.cells[r, c] for r, c in val_cells], dtype=np.int64
-        )
-        val_comps = hybrid_component_predictions(
+        tau_truths = _truths(data, val_cells)
+        tau_comps = hybrid_component_predictions(
             chains, irm_samples, pool, data, val_cells
         )
-        tau_star = optimize_tau(
-            lambda t: _mixture_logpred(val_comps, log_ev, val_truths, t),
-            config.tau_lower,
-            config.tau_upper,
-            config.tau_tol,
-        )
-    else:  # per-cell: optimize directly against this row's held-out score
-        tau_star = optimize_tau(
-            lambda t: _mixture_logpred(comps, log_ev, truths, t),
-            config.tau_lower,
-            config.tau_upper,
-            config.tau_tol,
-        )
-    w = hybrid_weights(log_ev, tau_star)
-    preds = np.asarray(
-        [predictive_prob(comps[i], w) for i in range(comps.shape[0])]
+    tau_star = _best_tau(
+        tau_comps, log_ev, tau_truths, config.tau_lower, config.tau_upper, config.tau_tol
     )
-    score = evaluate(preds, truths)
-    row_bits = {
-        "score": score,
-        "weights": tuple(zip(names, (float(x) for x in w[:-1]))),
-        "tau_star": float(tau_star),
-        "irm_weight": float(w[-1]),
-    }
-    return row_bits, None
+    return _hybrid_bits(names, comps, log_ev, truths, tau_star), None
 
 
 def _execute_row(config: ExperimentConfig, systems, task: RowTask):
@@ -435,22 +456,15 @@ def _execute_row(config: ExperimentConfig, systems, task: RowTask):
     start = time.perf_counter()
     try:
         data = _split_data(config, systems, task)
-        truths = _truths(data)
+        truths = _truths(data, data.test_cells)
         payload = None
         if task.model == "irm":
-            samples = run_irm_chain(
-                data, _schedule(config, derive_seed(task.seed, "theory-chain"))
-            )
+            samples = _theory_chain(data, _schedule(config), task.seed)
             preds = irm_predict_cells(samples, data, data.test_cells)
             bits = {"score": evaluate(preds, truths)}
         elif task.model == "analogy":
             pool = _pool_for(config, systems, task)
-            chains = [
-                run_stored_chain(
-                    data, s, _schedule(config, derive_seed(task.seed, "stored-chain", j))
-                )
-                for j, s in enumerate(pool)
-            ]
+            chains = _stored_chains(data, pool, _schedule(config), task.seed)
             report = analogy_report(pool, chains)
             preds = analogy_predict_cells(chains, pool, report.weights, data.test_cells)
             bits = {
@@ -490,6 +504,20 @@ def _execute_row(config: ExperimentConfig, systems, task: RowTask):
         return row, None
 
 
+# (config, systems) of the grid a worker process serves; set by the pool's
+# initializer in each worker, never in the parent process.
+_WORKER_GRID: tuple = ()
+
+
+def _init_worker(config: ExperimentConfig, systems) -> None:
+    global _WORKER_GRID
+    _WORKER_GRID = (config, systems)
+
+
+def _execute_task(task: RowTask):
+    return _execute_row(*_WORKER_GRID, task)
+
+
 def _finalize_global_tau(config, rows, payloads):
     """Choose one tau per pool size by joint held-out score, then fill rows."""
     by_k: dict[int, list[int]] = {}
@@ -497,16 +525,12 @@ def _finalize_global_tau(config, rows, payloads):
         by_k.setdefault(payload.n_stored, []).append(idx)
     for k in sorted(by_k):
         idxs = sorted(by_k[k])
+        members = [payloads[i] for i in idxs]
 
         def total_logpred(tau: float) -> float:
             return sum(
-                _mixture_logpred(
-                    payloads[i].components,
-                    payloads[i].log_evidences,
-                    payloads[i].truths,
-                    tau,
-                )
-                for i in idxs
+                _mixture_logpred(p.components, p.log_evidences, p.truths, tau)
+                for p in members
             )
 
         tau_star = optimize_tau(
@@ -514,19 +538,9 @@ def _finalize_global_tau(config, rows, payloads):
         )
         for i in idxs:
             p = payloads[i]
-            w = hybrid_weights(p.log_evidences, tau_star)
-            preds = np.asarray(
-                [
-                    predictive_prob(p.components[j], w)
-                    for j in range(p.components.shape[0])
-                ]
-            )
             rows[i] = replace(
                 rows[i],
-                score=evaluate(preds, p.truths),
-                weights=tuple(zip(p.names, (float(x) for x in w[:-1]))),
-                tau_star=float(tau_star),
-                irm_weight=float(w[-1]),
+                **_hybrid_bits(p.names, p.components, p.log_evidences, p.truths, tau_star),
             )
     return rows
 
@@ -547,18 +561,20 @@ def run_experiment(
         systems = materialize_systems(config)
     targets = systems[: config.n_target_systems]
     tasks = plan_rows(config, [s.name for s in targets])
-    runner = partial(_execute_row, config, systems)
 
     results: list[tuple[ResultRow, _HybridPayload | None]] = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for done, out in enumerate(pool.map(runner, tasks), start=1):
+        # the library goes to each worker once; a task carries only its RowTask
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(config, systems)
+        ) as pool:
+            for done, out in enumerate(pool.map(_execute_task, tasks), start=1):
                 results.append(out)
                 if progress:
                     progress(done, len(tasks))
     else:
         for done, task in enumerate(tasks, start=1):
-            results.append(runner(task))
+            results.append(_execute_row(config, systems, task))
             if progress:
                 progress(done, len(tasks))
 
@@ -809,7 +825,6 @@ def _infer_schedule(args) -> McmcSchedule:
         args.burn_in if args.burn_in is not None else 500,
         args.retained if args.retained is not None else 100,
         args.thinning if args.thinning is not None else 5,
-        derive_seed(args.seed, "infer", args.model),
     )
 
 
@@ -837,13 +852,13 @@ def _write_report(path, report):
 
 def _cmd_infer(args) -> int:
     data = load_dataset(args.dataset)
-    truths = _truths(data)
     cells = data.test_cells
+    truths = _truths(data, cells)
     schedule = _infer_schedule(args)
     report = None
     tau_star = None
     if args.model == "irm":
-        samples = run_irm_chain(data, schedule)
+        samples = _theory_chain(data, schedule, args.seed)
         preds = irm_predict_cells(samples, data, cells)
     else:
         if not args.systems_dir:
@@ -851,31 +866,22 @@ def _cmd_infer(args) -> int:
             return 2
         pool = load_systems_dir(args.systems_dir)
         if args.k is not None:
-            pool = pool[: args.k]
-        chains = [
-            run_stored_chain(
-                data, s, schedule.with_seed(derive_seed(args.seed, "stored-chain", j))
-            )
-            for j, s in enumerate(pool)
-        ]
+            try:
+                pool = _pool_prefix(pool, args.k)
+            except ConfigError as exc:
+                print(f"error: --k: {exc}", file=sys.stderr)
+                return 2
+        chains = _stored_chains(data, pool, schedule, args.seed)
+        # for hybrid, the evidence ranking over the stored pool is a side report
+        report = analogy_report(pool, chains)
         if args.model == "analogy":
-            report = analogy_report(pool, chains)
             preds = analogy_predict_cells(chains, pool, report.weights, cells)
         else:
-            irm_samples = run_irm_chain(
-                data, schedule.with_seed(derive_seed(args.seed, "theory-chain"))
-            )
+            irm_samples = _theory_chain(data, schedule, args.seed)
             log_ev = hybrid_log_evidences(chains, irm_samples)
             comps = hybrid_component_predictions(chains, irm_samples, pool, data, cells)
-            tau_star = optimize_tau(
-                lambda t: _mixture_logpred(comps, log_ev, truths, t)
-            )
-            w = hybrid_weights(log_ev, tau_star)
-            preds = np.asarray(
-                [predictive_prob(comps[i], w) for i in range(comps.shape[0])]
-            )
-            # evidence ranking over the stored pool, for the side report
-            report = analogy_report(pool, chains)
+            tau_star = _best_tau(comps, log_ev, truths)
+            preds = _mixture(comps, log_ev, tau_star)[1]
     _write_predictions(args.out, cells, truths, preds)
     if report is not None:
         _write_report(str(args.out) + ".report.csv", report)

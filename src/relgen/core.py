@@ -395,23 +395,42 @@ def collapsed_loglik(data: RelationData, partition, alpha: float) -> float:
     return float(np.sum(betaln(alpha + ones, alpha + zeros) - betaln(alpha, alpha)))
 
 
-def predictive_prob(component_probs, weights) -> float:
+def _cell_indices(cells, n_entities: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays for (row, col) cells, range-checked."""
+    cells = [(int(r), int(c)) for r, c in cells]
+    for r, c in cells:
+        if not (0 <= r < n_entities and 0 <= c < n_entities):
+            raise DimensionError(f"cell {(r, c)} out of range for n={n_entities}")
+    rows = np.asarray([r for r, _ in cells], dtype=np.int64)
+    cols = np.asarray([c for _, c in cells], dtype=np.int64)
+    return rows, cols
+
+
+def predictive_prob(component_probs, weights):
     """Mixture predictive probability: sum_k w_k p_k, clamped.
 
-    Components with exactly zero weight are dropped before mixing, so a
-    zero-weight component never perturbs the result.
+    ``component_probs`` is one cell's K-vector, giving a float, or a
+    (cells x K) array, giving one probability per row.  Components with
+    exactly zero weight are dropped before mixing, so a zero-weight component
+    never perturbs the result.  Each row is mixed by its own dot product over
+    a C-contiguous copy of the live columns, so a row's result is bit for bit
+    the result for that row passed alone.
     """
     p = np.asarray(component_probs, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if p.shape != w.shape or p.ndim != 1:
+    if w.ndim != 1 or p.ndim not in (1, 2) or p.shape[-1] != w.size:
         raise DimensionError(
-            f"components and weights must be 1-d and equal-length, "
+            f"components must be 1-d or 2-d with one column per weight, "
             f"got {p.shape} and {w.shape}"
         )
-    if p.size == 0:
+    if w.size == 0:
         raise ValueError("need at least one component")
     if (w < 0).any() or abs(w.sum() - 1.0) > 1e-6:
         raise ValueError("weights must be nonnegative and sum to 1")
     live = w > 0.0
-    mixed = float(np.dot(w[live], p[live]))
-    return float(min(max(mixed, PROB_EPS), 1.0 - PROB_EPS))
+    w_live = w[live]
+    rows = np.atleast_2d(np.ascontiguousarray(p[..., live]))
+    mixed = clamp_probs(
+        np.fromiter((np.dot(w_live, row) for row in rows), np.float64, len(rows))
+    )
+    return float(mixed[0]) if p.ndim == 1 else mixed

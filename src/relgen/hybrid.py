@@ -105,16 +105,7 @@ def hybrid_predict_cells(
         stored_samples, irm_samples, systems, data, cells
     )
     w = hybrid_weights(hybrid_log_evidences(stored_samples, irm_samples), tau)
-    return np.asarray([predictive_prob(comps[i], w) for i in range(comps.shape[0])])
-
-
-def hybrid_predict(
-    stored_samples, irm_samples, systems, data: RelationData, tau: float, cell
-) -> float:
-    """Hybrid mixture prediction for one cell at a fixed tau."""
-    return float(
-        hybrid_predict_cells(stored_samples, irm_samples, systems, data, tau, [cell])[0]
-    )
+    return predictive_prob(comps, w)
 
 
 _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))

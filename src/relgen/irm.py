@@ -25,6 +25,7 @@ from .core import (
     Partition,
     PosteriorSamples,
     RelationData,
+    _cell_indices,
     canonical_labels,
     clamp_probs,
     pair_counts,
@@ -177,20 +178,27 @@ def _attach(state: _ChainState, i: int, choice: int, tallies):
     state.z[i] = choice
 
 
-def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+def _sample_logweights(logw: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an index with probability proportional to exp(logw)."""
+    probs = np.exp(logw - logw.max())
+    probs /= probs.sum()
     choice = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     return min(choice, probs.size - 1)
 
 
-def _update_entity(state, i, view, hp: Hyperparameters, rng) -> None:
-    tallies = _entity_tallies(state, view)
-    tallies = _detach(state, i, tallies)
+def _detached_logweights(state: _ChainState, i: int, view, hp: Hyperparameters):
+    """Detach entity i; return its conditional log-weights and its tallies."""
+    tallies = _detach(state, i, _entity_tallies(state, view))
     logw = _candidate_logliks(state, hp.alpha, tallies)
     logw += np.log(np.append(np.asarray(state.counts, dtype=np.float64), hp.gamma))
-    logw -= logw.max()
-    probs = np.exp(logw)
-    probs /= probs.sum()
-    _attach(state, i, _sample_index(probs, rng), tallies)
+    return logw, tallies
+
+
+def _sweep(state: _ChainState, views, hp: Hyperparameters, rng) -> None:
+    """Reassign every entity in index order from its collapsed conditional."""
+    for i, view in enumerate(views):
+        logw, tallies = _detached_logweights(state, i, view, hp)
+        _attach(state, i, _sample_logweights(logw, rng), tallies)
 
 
 def conditional_class_logweights(
@@ -202,11 +210,7 @@ def conditional_class_logweights(
     the final entry is a fresh class.
     """
     state = _ChainState(data, partition)
-    tallies = _entity_tallies(state, data.entity_views[entity])
-    tallies = _detach(state, entity, tallies)
-    logw = _candidate_logliks(state, hp.alpha, tallies)
-    logw += np.log(np.append(np.asarray(state.counts, dtype=np.float64), hp.gamma))
-    return logw
+    return _detached_logweights(state, entity, data.entity_views[entity], hp)[0]
 
 
 def gibbs_sweep(
@@ -217,9 +221,7 @@ def gibbs_sweep(
 ) -> Partition:
     """One systematic-scan sweep reassigning every entity in index order."""
     state = _ChainState(data, partition)
-    views = data.entity_views
-    for i in range(data.n_entities):
-        _update_entity(state, i, views[i], hp, rng)
+    _sweep(state, data.entity_views, hp, rng)
     return state.to_partition()
 
 
@@ -251,6 +253,25 @@ def _mh_step(value, log_target, rng, scale) -> float:
     return value
 
 
+def _alpha_step(ones, zeros, hp: Hyperparameters, rng, scale) -> Hyperparameters:
+    """Metropolis step on alpha given the class-pair link/non-link counts."""
+
+    def log_target(a: float) -> float:
+        return _log_alpha_prior(a) + _collapsed_from_counts(ones, zeros, a)
+
+    return replace(hp, alpha=_mh_step(hp.alpha, log_target, rng, scale))
+
+
+def _gamma_step(counts, hp: Hyperparameters, rng, scale) -> Hyperparameters:
+    """Metropolis step on gamma given the class occupancies."""
+    counts = np.asarray(counts, dtype=np.float64)
+
+    def log_target(g: float) -> float:
+        return _log_gamma_prior(g) + _log_prior_from_counts(counts, g)
+
+    return replace(hp, gamma=_mh_step(hp.gamma, log_target, rng, scale))
+
+
 def mh_update_alpha(
     data: RelationData,
     partition: Partition,
@@ -260,11 +281,7 @@ def mh_update_alpha(
 ) -> Hyperparameters:
     """Metropolis update of the Beta concentration at a fixed partition."""
     ones, zeros = pair_counts(data, partition.assignments, partition.n_classes)
-
-    def log_target(a: float) -> float:
-        return _log_alpha_prior(a) + _collapsed_from_counts(ones, zeros, a)
-
-    return replace(hp, alpha=_mh_step(hp.alpha, log_target, rng, scale))
+    return _alpha_step(ones, zeros, hp, rng, scale)
 
 
 def mh_update_gamma(
@@ -274,12 +291,7 @@ def mh_update_gamma(
     scale: float = MH_PROPOSAL_SCALE,
 ) -> Hyperparameters:
     """Metropolis update of the CRP concentration at a fixed partition."""
-    counts = np.asarray(partition.counts, dtype=np.float64)
-
-    def log_target(g: float) -> float:
-        return _log_gamma_prior(g) + _log_prior_from_counts(counts, g)
-
-    return replace(hp, gamma=_mh_step(hp.gamma, log_target, rng, scale))
+    return _gamma_step(partition.counts, hp, rng, scale)
 
 
 def run_irm_chain(
@@ -303,30 +315,16 @@ def run_irm_chain(
             np.zeros(data.n_entities, dtype=np.int64)
         )
     state = _ChainState(data, init_partition)
-    views = data.entity_views
-    n = data.n_entities
 
     retained: list[np.ndarray] = []
     logliks: list[float] = []
     alphas: list[float] = []
     done = 0
     for sweep in range(schedule.total_sweeps):
-        for i in range(n):
-            _update_entity(state, i, views[i], hp, rng)
+        _sweep(state, data.entity_views, hp, rng)
         if sample_hyperparams:
-
-            def alpha_target(a: float) -> float:
-                return _log_alpha_prior(a) + _collapsed_from_counts(
-                    state.ones, state.zeros, a
-                )
-
-            hp = replace(hp, alpha=_mh_step(hp.alpha, alpha_target, rng, MH_PROPOSAL_SCALE))
-            counts = np.asarray(state.counts, dtype=np.float64)
-
-            def gamma_target(g: float) -> float:
-                return _log_gamma_prior(g) + _log_prior_from_counts(counts, g)
-
-            hp = replace(hp, gamma=_mh_step(hp.gamma, gamma_target, rng, MH_PROPOSAL_SCALE))
+            hp = _alpha_step(state.ones, state.zeros, hp, rng, MH_PROPOSAL_SCALE)
+            hp = _gamma_step(state.counts, hp, rng, MH_PROPOSAL_SCALE)
         done = sweep - schedule.burn_in + 1
         if done >= 1 and done % schedule.thinning == 0:
             retained.append(canonical_labels(state.z))
@@ -348,16 +346,10 @@ def irm_predict_cells(
     """
     if samples.alphas is None:
         raise ConfigError("samples carry no alpha draws; not a collapsed chain")
-    cells = [(int(r), int(c)) for r, c in cells]
-    n = data.n_entities
-    for r, c in cells:
-        if not (0 <= r < n and 0 <= c < n):
-            raise DimensionError(f"cell {(r, c)} out of range for n={n}")
-    if not cells:
+    rows, cols = _cell_indices(cells, data.n_entities)
+    if not rows.size:
         return np.empty(0)
-    rows = np.asarray([r for r, _ in cells])
-    cols = np.asarray([c for _, c in cells])
-    acc = np.zeros(len(cells))
+    acc = np.zeros(rows.size)
     for z, alpha in zip(samples.partitions, samples.alphas):
         k = int(z.max()) + 1
         ones, zeros = pair_counts(data, z, k)
@@ -365,8 +357,3 @@ def irm_predict_cells(
         n0 = zeros[z[rows], z[cols]]
         acc += (n1 + alpha) / (n1 + n0 + 2.0 * alpha)
     return clamp_probs(acc / samples.n_draws)
-
-
-def irm_predict(samples: PosteriorSamples, data: RelationData, cell) -> float:
-    """Posterior predictive probability that one cell holds a link."""
-    return float(irm_predict_cells(samples, data, [cell])[0])

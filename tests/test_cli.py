@@ -395,6 +395,28 @@ def test_cli_infer_requires_systems_dir(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", ["-1", "0", "4"])
+def test_cli_infer_rejects_bad_pool_size(tmp_path, capsys, k):
+    systems = tmp_path / "systems"
+    assert main([
+        "generate", "--out-dir", str(systems), "--count", "3",
+        "--entities", "6", "--class-min", "2", "--class-max", "3",
+    ]) == 0
+    dataset = tmp_path / "data.json"
+    assert main([
+        "simulate", "--system", str(systems / "synthetic-000.json"),
+        "--entities", "6", "--out", str(dataset),
+    ]) == 0
+    out = tmp_path / "p.csv"
+    code = main([
+        "infer", "--dataset", str(dataset), "--model", "hybrid",
+        "--systems-dir", str(systems), "--k", k, "--out", str(out),
+    ])
+    assert code == 2
+    assert "pool size" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_experiment_error_exit(tmp_path):
     args = [
         "experiment", "--targets", "2", "--entities", "6",

@@ -241,13 +241,38 @@ def test_predictive_prob_mixture():
     assert predictive_prob(np.array([1.0]), np.array([1.0])) <= 1 - 1e-6
 
 
+@pytest.mark.parametrize("n_components", [3, 6, 21, 101])
+def test_predictive_prob_rows_match_single_cell_calls(n_components):
+    # the (cells x K) form must reproduce the one-cell form bit for bit
+    rng = np.random.default_rng(n_components)
+    comps = rng.random((200, n_components))
+    w = rng.random(n_components) ** 8
+    w[rng.permutation(n_components)[: n_components // 3]] = 0.0
+    w /= w.sum()
+    expected = np.array([predictive_prob(comps[i], w) for i in range(len(comps))])
+    np.testing.assert_array_equal(predictive_prob(comps, w), expected)
+    assert predictive_prob(comps[:0], w).shape == (0,)
+
+
 def test_predictive_prob_validation():
     with pytest.raises(DimensionError):
         predictive_prob(np.array([0.5]), np.array([0.5, 0.5]))
+    with pytest.raises(DimensionError):
+        predictive_prob(np.full((3, 1), 0.5), np.array([0.5, 0.5]))
+    with pytest.raises(DimensionError):
+        predictive_prob(np.full((2, 2, 2), 0.5), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         predictive_prob(np.array([0.5, 0.5]), np.array([0.9, 0.3]))  # sum != 1
     with pytest.raises(ValueError):
         predictive_prob(np.array([0.5, 0.5]), np.array([-0.5, 1.5]))
+
+
+def test_public_names_resolve_once():
+    import relgen
+
+    assert len(relgen.__all__) == len(set(relgen.__all__))
+    missing = [name for name in relgen.__all__ if not hasattr(relgen, name)]
+    assert missing == []
 
 
 def test_arrays_are_frozen():

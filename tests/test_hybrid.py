@@ -13,14 +13,15 @@ from relgen import (
     harmonic_mean_evidence,
     hybrid_component_predictions,
     hybrid_log_evidences,
-    hybrid_predict,
     hybrid_predict_cells,
     hybrid_prior,
     hybrid_weights,
+    irm_predict_cells,
     optimize_tau,
     predictive_prob,
     run_irm_chain,
     run_stored_chain,
+    stored_component_predictions,
 )
 
 from test_analogy import two_class_system
@@ -118,8 +119,18 @@ def test_component_predictions_and_mixture():
     w = hybrid_weights(le, tau)
     expected = [predictive_prob(comps[i], w) for i in range(comps.shape[0])]
     assert_allclose(got, expected, rtol=1e-12)
-    single = hybrid_predict(chains, irm, pool, data, tau, data.test_cells[0])
-    assert_allclose(single, expected[0], rtol=1e-12)
+    single = hybrid_predict_cells(chains, irm, pool, data, tau, data.test_cells[:1])
+    assert_allclose(single, expected[:1], rtol=1e-12)
+
+
+def test_component_predictions_reject_out_of_range_cells():
+    data, pool, chains, irm = small_fit()
+    n = data.n_entities
+    for cell in ((-1, 0), (n, 0)):
+        with pytest.raises(DimensionError):
+            stored_component_predictions(chains[0], pool[0], [cell])
+        with pytest.raises(DimensionError):
+            irm_predict_cells(irm, data, [cell])
 
 
 def test_optimize_tau_quadratic_peak():

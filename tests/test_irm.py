@@ -15,7 +15,6 @@ from relgen import (
     collapsed_loglik,
     conditional_class_logweights,
     gibbs_sweep,
-    irm_predict,
     irm_predict_cells,
     mh_update_alpha,
     mh_update_gamma,
@@ -253,10 +252,11 @@ def test_irm_predict_single_draw_by_hand():
         sample_hyperparams=False,
     )
     z = samples_fixed.partitions[0]
+    (got,) = irm_predict_cells(samples_fixed, data, [(0, 0)])
     if z[0] == z[1]:  # both entities in one class: n1=2, n0=0
-        assert_allclose(irm_predict(samples_fixed, data, (0, 0)), 3.0 / 4.0)
+        assert_allclose(got, 3.0 / 4.0)
     else:  # separate classes: the diagonal block is empty
-        assert_allclose(irm_predict(samples_fixed, data, (0, 0)), 0.5)
+        assert_allclose(got, 0.5)
 
 
 def test_predict_requires_alpha_record():
