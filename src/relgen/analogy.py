@@ -30,35 +30,65 @@ from .core import (
 from .irm import McmcSchedule, _sample_logweights
 
 
-def _log_tables(system: StoredSystem):
-    """(log link, log no-link, log class prior) tables of one system."""
+def _sweep_tables(data: RelationData, system: StoredSystem):
+    """(G, B, log class prior) of the incremental sweep for one dataset.
+
+    ``G[:, b]`` (4 x m) turns one neighbour's (r1, rt, c1, ct) tally row, for
+    a neighbour in class b, into log-weights over the m classes.  ``B``
+    (n x m) holds each entity's log prior plus its self-cell term;
+    zero-prior classes stay at -inf.
+    """
     p = clamp_probs(system.link_probs)
+    log_link, log_nolink = np.log(p), np.log1p(-p)
     with np.errstate(divide="ignore"):
-        return np.log(p), np.log1p(-p), np.log(system.class_probs)
+        log_prior = np.log(system.class_probs)
+    diff = log_link - log_nolink
+    G = np.stack([diff.T, log_nolink.T, diff, log_nolink])
+    self_obs = np.diagonal(data.observed_mask)
+    self_link = np.diagonal(data.cells) == 1
+    B = (
+        log_prior
+        + np.outer(self_obs & self_link, np.diagonal(log_link))
+        + np.outer(self_obs & ~self_link, np.diagonal(log_nolink))
+    )
+    return G, B, log_prior
 
 
-def _stored_entity_logweights(z, view, log_link, log_nolink, log_prior):
-    """Log conditional over the system's classes for one entity."""
-    m = log_prior.size
-    r1 = np.bincount(z[view.out_neighbors], weights=view.out_values, minlength=m)
-    rt = np.bincount(z[view.out_neighbors], minlength=m).astype(np.float64)
-    c1 = np.bincount(z[view.in_neighbors], weights=view.in_values, minlength=m)
-    ct = np.bincount(z[view.in_neighbors], minlength=m).astype(np.float64)
-    logw = log_prior + log_link @ r1 + log_nolink @ (rt - r1)
-    logw += c1 @ log_link + (ct - c1) @ log_nolink
-    if view.self_value == 1:
-        logw += np.diagonal(log_link)
-    elif view.self_value == 0:
-        logw += np.diagonal(log_nolink)
-    return logw
+def _stored_table(D, G, B, z) -> np.ndarray:
+    """Every entity's log conditional over the classes, as an n x m table."""
+    n, m = B.shape
+    onehot = np.zeros((n, m))
+    onehot[np.arange(n), z] = 1.0
+    # tallies[j, (k, b)]: entity j's tally k over its neighbours in class b
+    tallies = (D.reshape(n, 4 * n).T @ onehot).reshape(n, 4 * m)
+    return tallies @ G.reshape(4 * m, m) + B
 
 
-def _sweep_stored(z, views, tables, rng) -> None:
-    """Gibbs-reassign every entity in index order, in place."""
-    log_link, log_nolink, log_prior = tables
-    for i, view in enumerate(views):
-        logw = _stored_entity_logweights(z, view, log_link, log_nolink, log_prior)
-        z[i] = _sample_logweights(logw, rng)
+def _move_entity(L, D, G, i: int, a: int, b: int) -> None:
+    """Update the table in place for entity i moving from class a to b."""
+    L += D[i] @ (G[:, b] - G[:, a])
+
+
+def _sweep_stored(z, D, G, B, rng=None) -> None:
+    """Reassign every entity in index order, in place.
+
+    With ``rng``, each entity is Gibbs-drawn from its conditional; without,
+    it takes the conditional's first maximum (the greedy init's sweep).  The
+    table is rebuilt once per sweep and touched only when an entity moves.
+    """
+    L = _stored_table(D, G, B, z)
+    labels = z.tolist()
+    uniforms = rng.random(len(labels)).tolist() if rng is not None else None
+    for i, a in enumerate(labels):
+        row = L[i].tolist()
+        if uniforms is None:
+            b = row.index(max(row))
+        else:
+            b = _sample_logweights(row, uniforms[i])
+        if b != a:
+            _move_entity(L, D, G, i, a, b)
+            labels[i] = b
+    z[:] = labels
 
 
 def gibbs_sweep_stored(
@@ -79,7 +109,8 @@ def gibbs_sweep_stored(
     m = system.n_classes
     if z.size and (z.min() < 0 or z.max() >= m):
         raise DimensionError(f"assignment label out of range for {m} classes")
-    _sweep_stored(z, data.entity_views, _log_tables(system), rng)
+    G, B, _ = _sweep_tables(data, system)
+    _sweep_stored(z, data.neighbor_tallies, G, B, rng)
     return z
 
 
@@ -159,11 +190,10 @@ def _greedy_candidate(
     local optimum of the joint in a handful of sweeps; the caller keeps the
     best candidate across restarts.  Returns the state and its log joint.
     """
-    log_prior = tables[2]
+    G, B, log_prior = tables
     z = sample_stored_assignments(system, data.n_entities, rng)
     for _ in range(INIT_GREEDY_SWEEPS):
-        for i, view in enumerate(data.entity_views):
-            z[i] = int(np.argmax(_stored_entity_logweights(z, view, *tables)))
+        _sweep_stored(z, data.neighbor_tallies, G, B)
         ll = bernoulli_loglik(data, z, system.link_probs)
         for a_pos in range(live.size):
             for b_pos in range(a_pos + 1, live.size):
@@ -193,7 +223,8 @@ def run_stored_chain(
     ``schedule.seed``.
     """
     rng = np.random.default_rng(schedule.seed)
-    tables = _log_tables(system)
+    tables = _sweep_tables(data, system)
+    G, B, log_prior = tables
     live = np.flatnonzero(system.class_probs > 0.0)
     z, best = _greedy_candidate(data, system, tables, live, rng)
     for _ in range(INIT_RESTARTS - 1):
@@ -203,9 +234,9 @@ def run_stored_chain(
     retained: list[np.ndarray] = []
     logliks: list[float] = []
     for sweep in range(schedule.total_sweeps):
-        _sweep_stored(z, data.entity_views, tables, rng)
+        _sweep_stored(z, data.neighbor_tallies, G, B, rng)
         ll = bernoulli_loglik(data, z, system.link_probs)
-        z, ll = _class_swap_move(data, system, z, ll, tables[2], live, rng)
+        z, ll = _class_swap_move(data, system, z, ll, log_prior, live, rng)
         done = sweep - schedule.burn_in + 1
         if done >= 1 and done % schedule.thinning == 0:
             retained.append(z.copy())

@@ -850,8 +850,16 @@ def _write_report(path, report):
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_infer(args) -> int:
-    data = load_dataset(args.dataset)
+    try:
+        data = load_dataset(args.dataset)
+    except OSError as exc:
+        return _usage_error(f"--dataset: {exc}")
     cells = data.test_cells
     truths = _truths(data, cells)
     schedule = _infer_schedule(args)
@@ -862,15 +870,16 @@ def _cmd_infer(args) -> int:
         preds = irm_predict_cells(samples, data, cells)
     else:
         if not args.systems_dir:
-            print("error: --systems-dir is required for analogy/hybrid", file=sys.stderr)
-            return 2
-        pool = load_systems_dir(args.systems_dir)
+            return _usage_error("--systems-dir is required for analogy/hybrid")
+        try:
+            pool = load_systems_dir(args.systems_dir)
+        except OSError as exc:
+            return _usage_error(f"--systems-dir: {exc}")
         if args.k is not None:
             try:
                 pool = _pool_prefix(pool, args.k)
             except ConfigError as exc:
-                print(f"error: --k: {exc}", file=sys.stderr)
-                return 2
+                return _usage_error(f"--k: {exc}")
         chains = _stored_chains(data, pool, schedule, args.seed)
         # for hybrid, the evidence ranking over the stored pool is a side report
         report = analogy_report(pool, chains)
@@ -894,7 +903,10 @@ def _cmd_infer(args) -> int:
 def _cmd_experiment(args) -> int:
     file_values = None
     if args.config:
-        file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except OSError as exc:
+            return _usage_error(f"--config: {exc}")
     overrides = {
         "entity_count": args.entities,
         "observed_fractions": args.fractions,
@@ -915,8 +927,7 @@ def _cmd_experiment(args) -> int:
     try:
         config = ExperimentConfig.from_sources(file_values, overrides)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     progress = None
     if args.verbose:
         progress = lambda done, total: print(

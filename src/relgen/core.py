@@ -139,6 +139,18 @@ class RelationData:
         return r, c, self.cells[r, c].astype(np.int64)
 
     @cached_property
+    def neighbor_tallies(self) -> np.ndarray:
+        """(n, n, 4) tensor of what entity i adds to entity j's tallies.
+
+        Row ``[i, j]`` is ``(r1, rt, c1, ct)`` for the off-diagonal cells
+        linking the two: j's out-cell (j, i) as a link and as observed, then
+        j's in-cell (i, j) likewise.  Used by the stored-system sweep.
+        """
+        obs = self.observed_mask & ~np.eye(self.n_entities, dtype=bool)
+        links = obs & (self.cells == 1)
+        return np.stack([links.T, obs.T, links, obs], axis=-1).astype(np.float64)
+
+    @cached_property
     def entity_views(self) -> list["EntityView"]:
         """Per-entity observed neighborhoods (used by the samplers)."""
         n = self.n_entities

@@ -11,7 +11,10 @@ prior) by log-normal random-walk Metropolis steps.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import betaln
@@ -178,12 +181,19 @@ def _attach(state: _ChainState, i: int, choice: int, tallies):
     state.z[i] = choice
 
 
-def _sample_logweights(logw: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index with probability proportional to exp(logw)."""
-    probs = np.exp(logw - logw.max())
-    probs /= probs.sum()
-    choice = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    return min(choice, probs.size - 1)
+def _sample_logweights(logw: list, u: float) -> int:
+    """Index drawn with probability proportional to exp(logw), given a uniform u.
+
+    Returns the first index whose running weight sum exceeds ``u`` times the
+    total; when rounding leaves none, the last index with positive weight.
+    """
+    top = max(logw)
+    weights = [math.exp(w - top) for w in logw]
+    running = list(accumulate(weights))
+    k = bisect_right(running, u * running[-1])
+    if k < len(running):
+        return k
+    return max(k for k, w in enumerate(weights) if w > 0.0)
 
 
 def _detached_logweights(state: _ChainState, i: int, view, hp: Hyperparameters):
@@ -196,9 +206,10 @@ def _detached_logweights(state: _ChainState, i: int, view, hp: Hyperparameters):
 
 def _sweep(state: _ChainState, views, hp: Hyperparameters, rng) -> None:
     """Reassign every entity in index order from its collapsed conditional."""
+    uniforms = rng.random(len(views)).tolist()
     for i, view in enumerate(views):
         logw, tallies = _detached_logweights(state, i, view, hp)
-        _attach(state, i, _sample_logweights(logw, rng), tallies)
+        _attach(state, i, _sample_logweights(logw.tolist(), uniforms[i]), tallies)
 
 
 def conditional_class_logweights(

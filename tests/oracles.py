@@ -163,3 +163,44 @@ def truncated_exp_cdf(x, lo: float = 1e-3, hi: float = 1e3):
     x = np.clip(np.asarray(x, dtype=np.float64), lo, hi)
     norm = math.exp(-lo) - math.exp(-hi)
     return (np.exp(-lo) - np.exp(-x)) / norm
+
+
+# Stored-system conditional and sweep, the slow way. ------------------------
+
+def stored_conditional(data, system, labels, entity: int) -> np.ndarray:
+    """Log conditional over a stored system's classes for one entity.
+
+    Sums, for each candidate class, the log prior and the log-likelihood of
+    every observed cell in the entity's row and column.  Link probabilities
+    are clamped to [1e-6, 1 - 1e-6] first, as the package clamps them.
+    """
+    z = [int(v) for v in labels]
+    n = data.n_entities
+    out = np.empty(system.class_probs.size)
+    for c, prior in enumerate(system.class_probs.tolist()):
+        if prior == 0.0:
+            out[c] = -math.inf
+            continue
+        z[entity] = c
+        logw = math.log(prior)
+        for j in range(n):
+            pairs = [(entity, j), (j, entity)] if j != entity else [(j, j)]
+            for r, col in pairs:
+                if data.observed_mask[r, col]:
+                    eta = min(max(float(system.link_probs[z[r], z[col]]), 1e-6), 1 - 1e-6)
+                    logw += math.log(eta) if data.cells[r, col] == 1 else math.log1p(-eta)
+        out[c] = logw
+    return out
+
+
+def stored_sweep_reference(data, system, labels, rng) -> np.ndarray:
+    """One Gibbs sweep in index order: one ``rng.random()`` per entity,
+    drawn through the normalized cumulative sum."""
+    z = np.array(labels, dtype=np.int64)
+    for i in range(data.n_entities):
+        logw = stored_conditional(data, system, z, i)
+        probs = np.exp(logw - logw.max())
+        probs /= probs.sum()
+        choice = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        z[i] = min(choice, probs.size - 1)
+    return z

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import chisquare
 
 from relgen import (
     ConfigError,
     DegenerateWeightsError,
     McmcSchedule,
+    RelationData,
     StoredSystem,
     analogy_predict_cells,
     analogy_report,
@@ -20,16 +21,64 @@ from relgen import (
     sample_stored_assignments,
     stored_component_predictions,
 )
+from relgen.analogy import _move_entity, _stored_table, _sweep_stored, _sweep_tables
 from relgen.datagen import generate_synthetic_system, make_split, simulate_interactions
 from relgen.datagen import SplitSpec
+from relgen.irm import _sample_logweights
 
-from oracles import exact_stored_enumeration, exact_stored_predictive
+from oracles import (
+    exact_stored_enumeration,
+    exact_stored_predictive,
+    stored_conditional,
+    stored_sweep_reference,
+)
 from test_core import random_data
 
 
 def two_class_system(name="toy"):
     link = np.array([[0.9, 0.2], [0.3, 0.6]])
     return StoredSystem(name, link, np.array([0.6, 0.4]))
+
+
+def gap_system():
+    # class 1 has zero prior; 0.0 and 1.0 links exercise the clamp
+    link = np.array([[1.0, 0.2, 0.7], [0.1, 0.5, 0.0], [0.4, 0.95, 0.05]])
+    return StoredSystem("gap", link, np.array([0.5, 0.0, 0.5]))
+
+
+def self_cell_data(rng, n):
+    # diagonal cells cycle through observed 0, observed 1 and unobserved
+    cells = rng.integers(0, 2, size=(n, n)).astype(np.int8)
+    mask = rng.random((n, n)) < 0.6
+    idx = np.arange(n)
+    cells[idx, idx] = idx % 3 == 1
+    mask[idx, idx] = idx % 3 != 2
+    return RelationData(n, cells, mask)
+
+
+def check_table_tracks_oracle(data, system, z, seed, sweeps):
+    """Step the kernel's table through Gibbs sweeps, comparing every row
+    with the slow conditional after each entity update; returns the moves."""
+    D = data.neighbor_tallies
+    G, B, _ = _sweep_tables(data, system)
+    n = data.n_entities
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    moves = 0
+    for _ in range(sweeps):
+        start = z.copy()
+        L = _stored_table(D, G, B, z)
+        for i in range(-1, n):
+            if i >= 0:
+                b = _sample_logweights(L[i].tolist(), rng.random())
+                if b != z[i]:
+                    _move_entity(L, D, G, i, int(z[i]), b)
+                    z[i] = b
+                    moves += 1
+            expected = [stored_conditional(data, system, z, j) for j in range(n)]
+            assert_allclose(L, expected, rtol=1e-12)
+        _sweep_stored(start, D, G, B, twin)
+        assert_array_equal(start, z)
+    return moves
 
 
 def test_sweep_is_deterministic_and_in_range():
@@ -41,6 +90,60 @@ def test_sweep_is_deterministic_and_in_range():
     b = gibbs_sweep_stored(data, system, z0, np.random.default_rng(9))
     assert a.tolist() == b.tolist()
     assert a.min() >= 0 and a.max() < 2
+
+
+@pytest.mark.parametrize("system", [two_class_system(), gap_system()])
+def test_sweep_table_matches_slow_conditional(system):
+    rng = np.random.default_rng(20)
+    data = self_cell_data(rng, 30)
+    z = sample_stored_assignments(system, 30, rng)
+    assert check_table_tracks_oracle(data, system, z, seed=21, sweeps=3) > 0
+
+
+def test_sweep_table_empty_observed_set_and_single_entity():
+    system = gap_system()
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(system.class_probs)
+    empty = RelationData(6, np.ones((6, 6), dtype=np.int8), np.zeros((6, 6), dtype=bool))
+    z = np.array([0, 2, 0, 2, 2, 0])
+    G, B, _ = _sweep_tables(empty, system)
+    assert_array_equal(_stored_table(empty.neighbor_tallies, G, B, z),
+                       np.tile(log_prior, (6, 1)))
+    check_table_tracks_oracle(empty, system, z, seed=22, sweeps=2)
+    for value in (0, 1):
+        single = RelationData(1, [[value]], [[True]])
+        check_table_tracks_oracle(single, system, np.array([2]), seed=23, sweeps=2)
+
+
+@pytest.mark.parametrize("system", [two_class_system(), gap_system()])
+def test_gibbs_sweep_stored_keeps_rng_stream(system):
+    data = self_cell_data(np.random.default_rng(24), 30)
+    for seed in range(20):
+        z0 = sample_stored_assignments(system, 30, np.random.default_rng(100 + seed))
+        got = gibbs_sweep_stored(data, system, z0, np.random.default_rng(seed))
+        want = stored_sweep_reference(data, system, z0, np.random.default_rng(seed))
+        assert_array_equal(got, want)
+
+
+def test_argmax_sweep_takes_first_maximum():
+    data = self_cell_data(np.random.default_rng(25), 30)
+    tie = StoredSystem("tie", np.full((3, 3), 0.5), np.full(3, 1 / 3))
+    for system in (gap_system(), tie):
+        z = sample_stored_assignments(system, 30, np.random.default_rng(26))
+        want = z.copy()
+        for i in range(30):
+            want[i] = np.argmax(stored_conditional(data, system, want, i))
+        G, B, _ = _sweep_tables(data, system)
+        _sweep_stored(z, data.neighbor_tallies, G, B)
+        assert_array_equal(z, want)
+    assert not want.any()  # all-equal conditionals pick class 0
+
+
+def test_draw_never_returns_zero_weight_index():
+    # u = 1 runs past the last running sum; the draw falls back to the
+    # last index with positive weight, not the zero-prior last class
+    assert _sample_logweights([0.0, 0.0, -np.inf], 1.0) == 1
+    assert _sample_logweights([0.0, 0.0, -np.inf], 0.0) == 0
 
 
 def test_stored_chain_matches_enumerated_posterior():

@@ -417,6 +417,34 @@ def test_cli_infer_rejects_bad_pool_size(tmp_path, capsys, k):
     assert not out.exists()
 
 
+def test_cli_missing_input_files_exit_2(tmp_path, capsys):
+    systems = tmp_path / "systems"
+    assert main([
+        "generate", "--out-dir", str(systems), "--count", "2",
+        "--entities", "6", "--class-min", "2", "--class-max", "3",
+    ]) == 0
+    dataset = tmp_path / "data.json"
+    assert main([
+        "simulate", "--system", str(systems / "synthetic-000.json"),
+        "--entities", "6", "--out", str(dataset),
+    ]) == 0
+    capsys.readouterr()
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "p.csv"
+    cases = [
+        (["infer", "--dataset", str(tmp_path / "missing.json"), "--model", "irm"],
+         "--dataset"),
+        (["infer", "--dataset", str(dataset), "--model", "analogy",
+          "--systems-dir", str(empty)], "--systems-dir"),
+        (["experiment", "--config", str(tmp_path / "missing.json")], "--config"),
+    ]
+    for args, flag in cases:
+        assert main(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert not out.exists()
+
+
 def test_cli_experiment_error_exit(tmp_path):
     args = [
         "experiment", "--targets", "2", "--entities", "6",
