@@ -44,13 +44,8 @@ def _sweep_tables(data: RelationData, system: StoredSystem):
         log_prior = np.log(system.class_probs)
     diff = log_link - log_nolink
     G = np.stack([diff.T, log_nolink.T, diff, log_nolink])
-    self_obs = np.diagonal(data.observed_mask)
-    self_link = np.diagonal(data.cells) == 1
-    B = (
-        log_prior
-        + np.outer(self_obs & self_link, np.diagonal(log_link))
-        + np.outer(self_obs & ~self_link, np.diagonal(log_nolink))
-    )
+    self_terms = np.stack([np.diagonal(log_link), np.diagonal(log_nolink)])
+    B = log_prior + data.self_tallies @ self_terms
     return G, B, log_prior
 
 

@@ -178,6 +178,10 @@ class ExperimentConfig:
         lo, hi = self.class_range
         if not (1 <= lo <= hi):
             raise ConfigError(f"invalid class_range {self.class_range!r}")
+        if self.system_source == "synthetic" and self.entity_count < lo:
+            raise ConfigError(
+                f"entity_count {self.entity_count} is below the class minimum {lo}"
+            )
         if self.generation_gamma <= 0 or self.generation_alpha <= 0:
             raise ConfigError("generation_gamma and generation_alpha must be positive")
         object.__setattr__(self, "observed_fractions", fr)
@@ -786,18 +790,20 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _cmd_generate(args) -> int:
+    try:
+        config = ExperimentConfig(
+            entity_count=args.entities,
+            n_target_systems=args.count,
+            master_seed=args.seed,
+            generation_gamma=args.gamma,
+            generation_alpha=args.alpha,
+            class_range=(args.class_min, args.class_max),
+        )
+    except ConfigError as exc:
+        return _usage_error(str(exc))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(args.count):
-        rng = np.random.default_rng(derive_seed(args.seed, "generate", i))
-        system = generate_synthetic_system(
-            rng,
-            name=f"synthetic-{i:03d}",
-            gamma=args.gamma,
-            alpha=args.alpha,
-            class_range=(args.class_min, args.class_max),
-            probe_entities=args.entities,
-        )
+    for system in materialize_systems(config):
         save_system(system, out_dir / f"{system.name}.json")
     print(f"wrote {args.count} system files to {out_dir}")
     return 0
@@ -821,11 +827,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _infer_schedule(args) -> McmcSchedule:
-    return McmcSchedule(
-        args.burn_in if args.burn_in is not None else 500,
-        args.retained if args.retained is not None else 100,
-        args.thinning if args.thinning is not None else 5,
-    )
+    flags = dict(burn_in=args.burn_in, n_retained=args.retained, thinning=args.thinning)
+    return McmcSchedule(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _write_predictions(path, cells, truths, preds):
@@ -858,11 +861,14 @@ def _usage_error(message: str) -> int:
 def _cmd_infer(args) -> int:
     try:
         data = load_dataset(args.dataset)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         return _usage_error(f"--dataset: {exc}")
+    try:
+        schedule = _infer_schedule(args)
+    except ConfigError as exc:
+        return _usage_error(str(exc))
     cells = data.test_cells
     truths = _truths(data, cells)
-    schedule = _infer_schedule(args)
     report = None
     tau_star = None
     if args.model == "irm":
@@ -873,7 +879,7 @@ def _cmd_infer(args) -> int:
             return _usage_error("--systems-dir is required for analogy/hybrid")
         try:
             pool = load_systems_dir(args.systems_dir)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             return _usage_error(f"--systems-dir: {exc}")
         if args.k is not None:
             try:
@@ -905,8 +911,10 @@ def _cmd_experiment(args) -> int:
     if args.config:
         try:
             file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             return _usage_error(f"--config: {exc}")
+        if not isinstance(file_values, dict):
+            return _usage_error("--config: expected a JSON object of settings")
     overrides = {
         "entity_count": args.entities,
         "observed_fractions": args.fractions,
@@ -928,12 +936,16 @@ def _cmd_experiment(args) -> int:
         config = ExperimentConfig.from_sources(file_values, overrides)
     except ConfigError as exc:
         return _usage_error(str(exc))
+    try:
+        systems = materialize_systems(config)
+    except (OSError, ValueError) as exc:
+        return _usage_error(f"--systems-dir: {exc}")
     progress = None
     if args.verbose:
         progress = lambda done, total: print(
             f"row {done}/{total}", file=sys.stderr, flush=True
         )
-    rows = run_experiment(config, workers=args.workers, progress=progress)
+    rows = run_experiment(config, systems, workers=args.workers, progress=progress)
     Path(args.out).write_text(
         emit_results_csv(rows, include_timing=config.emit_timing), encoding="utf-8"
     )
@@ -945,7 +957,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    rows = parse_results_csv(Path(args.results).read_text(encoding="utf-8"))
+    try:
+        rows = parse_results_csv(Path(args.results).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        return _usage_error(f"--results: {exc}")
     text = emit_summary_csv(
         summarize(rows, exclude_smallest_fraction=args.exclude_smallest_partition)
     )

@@ -144,54 +144,19 @@ class RelationData:
 
         Row ``[i, j]`` is ``(r1, rt, c1, ct)`` for the off-diagonal cells
         linking the two: j's out-cell (j, i) as a link and as observed, then
-        j's in-cell (i, j) likewise.  Used by the stored-system sweep.
+        j's in-cell (i, j) likewise.  Both samplers read it.
         """
         obs = self.observed_mask & ~np.eye(self.n_entities, dtype=bool)
         links = obs & (self.cells == 1)
         return np.stack([links.T, obs.T, links, obs], axis=-1).astype(np.float64)
 
     @cached_property
-    def entity_views(self) -> list["EntityView"]:
-        """Per-entity observed neighborhoods (used by the samplers)."""
-        n = self.n_entities
-        row_j: list[list[int]] = [[] for _ in range(n)]
-        row_v: list[list[int]] = [[] for _ in range(n)]
-        col_j: list[list[int]] = [[] for _ in range(n)]
-        col_v: list[list[int]] = [[] for _ in range(n)]
-        self_v = [-1] * n
-        rows, cols, vals = self.observed_triples
-        for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            if r == c:
-                self_v[r] = v
-            else:
-                row_j[r].append(c)
-                row_v[r].append(v)
-                col_j[c].append(r)
-                col_v[c].append(v)
-        return [
-            EntityView(
-                np.asarray(row_j[i], dtype=np.int64),
-                np.asarray(row_v[i], dtype=np.int64),
-                np.asarray(col_j[i], dtype=np.int64),
-                np.asarray(col_v[i], dtype=np.int64),
-                self_v[i],
-            )
-            for i in range(n)
-        ]
-
-
-@dataclass(frozen=True, eq=False)
-class EntityView:
-    """Observed off-diagonal cells touching one entity, plus its self-cell.
-
-    ``self_value`` is -1 when the diagonal cell is unobserved.
-    """
-
-    out_neighbors: np.ndarray
-    out_values: np.ndarray
-    in_neighbors: np.ndarray
-    in_values: np.ndarray
-    self_value: int
+    def self_tallies(self) -> np.ndarray:
+        """(n, 2) tensor: entity i's self-cell as an observed link and as an
+        observed non-link (both 0 when the diagonal cell is unobserved)."""
+        obs = np.diagonal(self.observed_mask)
+        link = np.diagonal(self.cells) == 1
+        return np.stack([obs & link, obs & ~link], axis=-1).astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,13 +311,15 @@ def pair_counts(data: RelationData, assignments, n_classes: int):
 
     Returns ``(ones, zeros)`` — two n_classes x n_classes float arrays where
     entry (a, b) counts observed cells from class-a rows to class-b columns.
+    Every entry is a sum of small integers, so the matmuls are exact.
     """
     z = _as_assignments(assignments)
-    rows, cols, vals = data.observed_triples
-    ones = np.zeros((n_classes, n_classes))
-    total = np.zeros((n_classes, n_classes))
-    np.add.at(ones, (z[rows], z[cols]), vals)
-    np.add.at(total, (z[rows], z[cols]), 1)
+    _check_assignments(data, z, n_classes)
+    onehot = np.zeros((z.size, n_classes))
+    onehot[np.arange(z.size), z] = 1.0
+    D, S = data.neighbor_tallies, data.self_tallies
+    ones = onehot.T @ D[:, :, 2] @ onehot + np.diag(onehot.T @ S[:, 0])
+    total = onehot.T @ D[:, :, 3] @ onehot + np.diag(onehot.T @ S.sum(axis=1))
     return ones, total - ones
 
 
@@ -401,9 +368,7 @@ def collapsed_loglik(data: RelationData, partition, alpha: float) -> float:
     z = _as_assignments(partition)
     if z.size == 0:
         return 0.0
-    k = int(z.max()) + 1
-    _check_assignments(data, z, k)
-    ones, zeros = pair_counts(data, z, k)
+    ones, zeros = pair_counts(data, z, int(z.max()) + 1)
     return float(np.sum(betaln(alpha + ones, alpha + zeros) - betaln(alpha, alpha)))
 
 

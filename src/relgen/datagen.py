@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analogy import sample_stored_assignments
 from .core import (
     GenerationError,
     RelationData,
@@ -102,9 +103,7 @@ def simulate_interactions(
     """
     if n_entities < 1:
         raise ValueError("need at least one entity")
-    cum = np.cumsum(system.class_probs)
-    z = np.searchsorted(cum, rng.random(n_entities), side="right")
-    z = np.minimum(z, system.n_classes - 1).astype(np.int64)
+    z = sample_stored_assignments(system, n_entities, rng)
     probs = system.link_probs[z[:, None], z[None, :]]
     cells = (rng.random((n_entities, n_entities)) < probs).astype(np.int8)
     data = RelationData(

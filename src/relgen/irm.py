@@ -86,16 +86,18 @@ class _ChainState:
         return Partition.from_assignments(canonical_labels(self.z))
 
 
-def _entity_tallies(state: _ChainState, view) -> tuple:
-    """Entity's observed cells bucketed by the current classes of neighbors."""
+def _entity_tallies(state: _ChainState, data: RelationData, i: int) -> tuple:
+    """Entity i's observed cells bucketed by the current classes of neighbors.
+
+    Column i of the neighbour tallies is zero at row i, so the entity's own
+    label adds nothing; its self-cell comes from the self tallies.
+    """
     k = state.n_classes
-    z = state.z
-    r1 = np.bincount(z[view.out_neighbors], weights=view.out_values, minlength=k)
-    rt = np.bincount(z[view.out_neighbors], minlength=k).astype(np.float64)
-    c1 = np.bincount(z[view.in_neighbors], weights=view.in_values, minlength=k)
-    ct = np.bincount(z[view.in_neighbors], minlength=k).astype(np.float64)
-    sv1 = 1.0 if view.self_value == 1 else 0.0
-    sv0 = 1.0 if view.self_value == 0 else 0.0
+    D = data.neighbor_tallies
+    r1, rt, c1, ct = (
+        np.bincount(state.z, weights=D[:, i, c], minlength=k) for c in range(4)
+    )
+    sv1, sv0 = data.self_tallies[i].tolist()
     return r1, rt - r1, c1, ct - c1, sv1, sv0
 
 
@@ -196,19 +198,19 @@ def _sample_logweights(logw: list, u: float) -> int:
     return max(k for k, w in enumerate(weights) if w > 0.0)
 
 
-def _detached_logweights(state: _ChainState, i: int, view, hp: Hyperparameters):
+def _detached_logweights(state: _ChainState, data: RelationData, i: int, hp):
     """Detach entity i; return its conditional log-weights and its tallies."""
-    tallies = _detach(state, i, _entity_tallies(state, view))
+    tallies = _detach(state, i, _entity_tallies(state, data, i))
     logw = _candidate_logliks(state, hp.alpha, tallies)
     logw += np.log(np.append(np.asarray(state.counts, dtype=np.float64), hp.gamma))
     return logw, tallies
 
 
-def _sweep(state: _ChainState, views, hp: Hyperparameters, rng) -> None:
+def _sweep(state: _ChainState, data: RelationData, hp: Hyperparameters, rng) -> None:
     """Reassign every entity in index order from its collapsed conditional."""
-    uniforms = rng.random(len(views)).tolist()
-    for i, view in enumerate(views):
-        logw, tallies = _detached_logweights(state, i, view, hp)
+    uniforms = rng.random(data.n_entities).tolist()
+    for i in range(data.n_entities):
+        logw, tallies = _detached_logweights(state, data, i, hp)
         _attach(state, i, _sample_logweights(logw.tolist(), uniforms[i]), tallies)
 
 
@@ -221,7 +223,7 @@ def conditional_class_logweights(
     the final entry is a fresh class.
     """
     state = _ChainState(data, partition)
-    return _detached_logweights(state, entity, data.entity_views[entity], hp)[0]
+    return _detached_logweights(state, data, entity, hp)[0]
 
 
 def gibbs_sweep(
@@ -232,7 +234,7 @@ def gibbs_sweep(
 ) -> Partition:
     """One systematic-scan sweep reassigning every entity in index order."""
     state = _ChainState(data, partition)
-    _sweep(state, data.entity_views, hp, rng)
+    _sweep(state, data, hp, rng)
     return state.to_partition()
 
 
@@ -332,7 +334,7 @@ def run_irm_chain(
     alphas: list[float] = []
     done = 0
     for sweep in range(schedule.total_sweeps):
-        _sweep(state, data.entity_views, hp, rng)
+        _sweep(state, data, hp, rng)
         if sample_hyperparams:
             hp = _alpha_step(state.ones, state.zeros, hp, rng, MH_PROPOSAL_SCALE)
             hp = _gamma_step(state.counts, hp, rng, MH_PROPOSAL_SCALE)

@@ -431,17 +431,41 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
     capsys.readouterr()
     empty = tmp_path / "empty"
     empty.mkdir()
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "bad.json").write_text("{")
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{")
+    not_results = tmp_path / "not-results.csv"
+    not_results.write_text("alpha,beta\n1,2\n")
     out = tmp_path / "p.csv"
+    to_out = ["--out", str(out)]
     cases = [
-        (["infer", "--dataset", str(tmp_path / "missing.json"), "--model", "irm"],
-         "--dataset"),
+        (["infer", "--dataset", str(tmp_path / "missing.json"), "--model", "irm"]
+         + to_out, "error: --dataset: "),
         (["infer", "--dataset", str(dataset), "--model", "analogy",
-          "--systems-dir", str(empty)], "--systems-dir"),
-        (["experiment", "--config", str(tmp_path / "missing.json")], "--config"),
+          "--systems-dir", str(empty)] + to_out, "error: --systems-dir: "),
+        (["experiment", "--config", str(tmp_path / "missing.json")] + to_out,
+         "error: --config: "),
+        (["experiment", "--systems-dir", str(empty)] + to_out,
+         "error: --systems-dir: "),
+        (["infer", "--dataset", str(not_json), "--model", "irm"] + to_out,
+         "error: --dataset: "),
+        (["experiment", "--config", str(not_json)] + to_out, "error: --config: "),
+        (["infer", "--dataset", str(dataset), "--model", "hybrid",
+          "--systems-dir", str(broken)] + to_out, "error: --systems-dir: "),
+        (["summarize", "--results", str(not_results)] + to_out,
+         "error: --results: "),
+        # settings built from several flags name the setting, as `experiment`
+        # does for its config errors
+        (["generate", "--out-dir", str(out), "--class-min", "5", "--class-max", "3"],
+         "error: invalid class_range (5, 3)"),
+        (["infer", "--dataset", str(dataset), "--model", "irm", "--retained", "0"]
+         + to_out, "error: retained draw count"),
     ]
-    for args, flag in cases:
-        assert main(args + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    for args, prefix in cases:
+        assert main(args) == 2, args
+        assert capsys.readouterr().err.startswith(prefix), args
         assert not out.exists()
 
 

@@ -80,24 +80,28 @@ def test_relation_data_validation():
         RelationData(3, good, observed, ((1, 2),))  # test overlaps observed
 
 
-def test_relation_data_views_match_brute_force():
+def test_relation_data_tallies_match_brute_force():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(2, 8))
         data = random_data(rng, n)
         assert data.n_observed == int(data.observed_mask.sum())
-        views = data.entity_views
+        D = data.neighbor_tallies
+        S = data.self_tallies
+        assert D.shape == (n, n, 4) and S.shape == (n, 2)
         for i in range(n):
-            out = [(j, int(data.cells[i, j])) for j in range(n)
-                   if data.observed_mask[i, j] and j != i]
-            inc = [(j, int(data.cells[j, i])) for j in range(n)
-                   if data.observed_mask[j, i] and j != i]
-            assert list(zip(views[i].out_neighbors, views[i].out_values)) == out
-            assert list(zip(views[i].in_neighbors, views[i].in_values)) == inc
-            expected_self = (
-                int(data.cells[i, i]) if data.observed_mask[i, i] else -1
-            )
-            assert views[i].self_value == expected_self
+            for j in range(n):
+                # what i adds to j's tallies: j's out-cell (j, i), in-cell (i, j)
+                out_obs = int(data.observed_mask[j, i] and i != j)
+                in_obs = int(data.observed_mask[i, j] and i != j)
+                expected = [
+                    out_obs * int(data.cells[j, i]), out_obs,
+                    in_obs * int(data.cells[i, j]), in_obs,
+                ]
+                assert D[i, j].tolist() == expected
+            self_obs = bool(data.observed_mask[i, i])
+            link = int(data.cells[i, i])
+            assert S[i].tolist() == [self_obs and link == 1, self_obs and link == 0]
 
 
 def test_partition_validation_and_canonical_form():
@@ -157,6 +161,13 @@ def test_pair_counts_matches_loops():
         assert zeros.tolist() == z2
         # every observed cell lands in exactly one tally
         assert ones.sum() + zeros.sum() == data.n_observed
+
+
+def test_pair_counts_rejects_bad_labels():
+    data = random_data(np.random.default_rng(5), 2)
+    for z in ([-1, 0], [0, 2], [0, 1, 1]):
+        with pytest.raises(DimensionError):
+            pair_counts(data, z, 2)
 
 
 def test_bernoulli_loglik_values():

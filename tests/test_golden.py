@@ -1,0 +1,87 @@
+"""Golden outputs: results CSVs and `relgen infer` files, byte for byte.
+
+``tests/golden/`` holds what the runs below write: the results CSV of the
+tiny grid in ``test_cli.tiny_config`` under each tau mode, and the
+predictions (plus the evidence report, for the pool models) of `relgen
+infer` for every model on one small dataset.  A change that alters any of
+these bytes on purpose regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says in CHANGES.md why they changed.
+"""
+
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from relgen import emit_results_csv, main, run_experiment
+
+from test_cli import tiny_config
+
+GOLDEN = Path(__file__).parent / "golden"
+TAU_MODES = ("per-cell", "global", "validation-split")
+INFER_MODELS = ("irm", "analogy", "hybrid")
+
+
+def results_csv(tau_mode: str) -> str:
+    return emit_results_csv(run_experiment(tiny_config(tau_mode=tau_mode)))
+
+
+def infer_outputs(workdir: Path) -> dict[str, str]:
+    """Every file `relgen infer` writes for each model, keyed by file name."""
+    systems = workdir / "systems"
+    dataset = workdir / "data.json"
+    assert main([
+        "generate", "--out-dir", str(systems), "--count", "3",
+        "--entities", "8", "--class-min", "2", "--class-max", "4", "--seed", "5",
+    ]) == 0
+    assert main([
+        "simulate", "--system", str(systems / "synthetic-001.json"),
+        "--entities", "8", "--observed-fraction", "0.5", "--seed", "6",
+        "--out", str(dataset),
+    ]) == 0
+    outputs = {}
+    for model in INFER_MODELS:
+        preds = workdir / f"infer-{model}.csv"
+        assert main([
+            "infer", "--dataset", str(dataset), "--model", model,
+            "--systems-dir", str(systems), "--seed", "7", "--out", str(preds),
+            "--burn-in", "20", "--retained", "10", "--thinning", "1",
+        ]) == 0
+        for path in (preds, preds.with_name(preds.name + ".report.csv")):
+            if path.exists():
+                outputs[path.name] = path.read_text(encoding="utf-8")
+    return outputs
+
+
+def _golden(name: str) -> str:
+    return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("tau_mode", TAU_MODES)
+def test_results_csv_matches_golden(tau_mode):
+    assert results_csv(tau_mode) == _golden(f"results-{tau_mode}.csv")
+
+
+def test_infer_outputs_match_golden(tmp_path):
+    outputs = infer_outputs(tmp_path)
+    assert sorted(outputs) == sorted(
+        p.name for p in GOLDEN.glob("infer-*.csv")
+    )
+    for name, text in outputs.items():
+        assert text == _golden(name), name
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.glob("*.csv"):
+        stale.unlink()
+    for mode in TAU_MODES:
+        (GOLDEN / f"results-{mode}.csv").write_text(results_csv(mode), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in infer_outputs(Path(tmp)).items():
+            (GOLDEN / name).write_text(text, encoding="utf-8")
+    print(f"wrote {len(list(GOLDEN.glob('*.csv')))} golden files to {GOLDEN}", file=sys.stderr)

@@ -60,6 +60,26 @@ def test_schedule_validation():
         McmcSchedule(burn_in=0, n_retained=1, thinning=0, seed=0)
 
 
+def joint_logweights(data, partition: Partition, entity: int, hp) -> np.ndarray:
+    """Collapsed log-likelihood plus CRP log-prior of every candidate state."""
+    return np.asarray(
+        [
+            marginal_loglik(data, s.assignments, hp.alpha)
+            + crp_log_prob_sequential(s.assignments, hp.gamma)
+            for s in candidate_states(partition, entity)
+        ]
+    )
+
+
+def assert_conditional_matches_joint(data, partition, entity, hp) -> np.ndarray:
+    """The package's conditional, normalized, equals the enumerated joint's."""
+    logw = conditional_class_logweights(data, partition, entity, hp)
+    brute = joint_logweights(data, partition, entity, hp)
+    assert logw.shape == brute.shape
+    assert_allclose(logw - logsumexp(logw), brute - logsumexp(brute), atol=1e-9)
+    return logw
+
+
 def test_conditional_logweights_match_joint_enumeration():
     # the incremental tally bookkeeping must reproduce, class by class, the
     # full joint computed from scratch on every candidate state
@@ -69,20 +89,44 @@ def test_conditional_logweights_match_joint_enumeration():
         n = int(rng.integers(3, 7))
         data = random_data(rng, n)
         part = Partition.from_assignments(rng.integers(0, 3, size=n))
+        assert_conditional_matches_joint(data, part, int(rng.integers(0, n)), hp)
+
+
+def test_conditional_on_empty_observed_set_is_crp_seating():
+    hp = Hyperparameters(alpha=1.4, gamma=0.8)
+    n = 5
+    data = RelationData(n, np.ones((n, n), np.int8), np.zeros((n, n), bool))
+    part = Partition.from_assignments([0, 1, 0, 2, 1])
+    for entity in range(n):
+        logw = assert_conditional_matches_joint(data, part, entity, hp)
+        seats = np.bincount(np.delete(part.assignments, entity))
+        crp = np.log(np.append(seats[seats > 0], hp.gamma))
+        assert_allclose(logw, crp, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cell, observed", [(1, True), (0, True), (1, False)])
+def test_conditional_self_cell_matches_joint_enumeration(cell, observed):
+    hp = Hyperparameters(alpha=0.6, gamma=1.3)
+    # one entity: no class survives the detach, so only a fresh class remains
+    alone = RelationData(1, [[cell]], [[observed]])
+    logw = assert_conditional_matches_joint(
+        alone, Partition.from_assignments([0]), 0, hp
+    )
+    expected = marginal_loglik(alone, [0], hp.alpha) + np.log(hp.gamma)
+    assert_allclose(logw, [expected], rtol=1e-12)
+
+    rng = np.random.default_rng(17)
+    for _ in range(15):
+        n = int(rng.integers(2, 6))
+        base = random_data(rng, n)
         entity = int(rng.integers(0, n))
-        logw = conditional_class_logweights(data, part, entity, hp)
-        states = candidate_states(part, entity)
-        assert len(states) == logw.size
-        brute = np.asarray(
-            [
-                marginal_loglik(data, s.assignments, hp.alpha)
-                + crp_log_prob_sequential(s.assignments, hp.gamma)
-                for s in states
-            ]
-        )
-        assert_allclose(
-            logw - logsumexp(logw), brute - logsumexp(brute), atol=1e-9
-        )
+        cells = base.cells.copy()
+        mask = base.observed_mask.copy()
+        cells[entity, entity] = cell
+        mask[entity, entity] = observed
+        data = RelationData(n, cells, mask)
+        part = Partition.from_assignments(rng.integers(0, 3, size=n))
+        assert_conditional_matches_joint(data, part, entity, hp)
 
 
 def test_single_entity_kernel_detailed_balance():
@@ -92,13 +136,7 @@ def test_single_entity_kernel_detailed_balance():
     part = Partition.from_assignments([0, 1, 0, 2, 1])
     entity = 3
     states = candidate_states(part, entity)
-    log_pi = np.asarray(
-        [
-            marginal_loglik(data, s.assignments, hp.alpha)
-            + crp_log_prob_sequential(s.assignments, hp.gamma)
-            for s in states
-        ]
-    )
+    log_pi = joint_logweights(data, part, entity, hp)
 
     def kernel_probs(state: Partition) -> dict:
         logw = conditional_class_logweights(data, state, entity, hp)
