@@ -20,7 +20,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .core import (
     ConfigError,
     DimensionError,
     RelationData,
+    SplitError,
     StoredSystem,
     clamp_probs,
     predictive_prob,
@@ -52,7 +53,6 @@ from .datagen import (
 from .hybrid import (
     TAU_LOG10_LOWER,
     TAU_LOG10_UPPER,
-    TAU_TOL,
     hybrid_component_predictions,
     hybrid_log_evidences,
     hybrid_weights,
@@ -112,7 +112,6 @@ class ExperimentConfig:
     observed_fractions: tuple[float, ...] = DEFAULT_FRACTIONS
     stored_counts: tuple[int, ...] = DEFAULT_STORED_COUNTS
     models: tuple[str, ...] = VALID_MODELS
-    system_source: str = "synthetic"
     systems_dir: str | None = None
     n_target_systems: int = 101
     test_fraction: float = 0.1
@@ -122,7 +121,6 @@ class ExperimentConfig:
     master_seed: int = 0
     tau_lower: float = TAU_LOG10_LOWER
     tau_upper: float = TAU_LOG10_UPPER
-    tau_tol: float = TAU_TOL
     tau_mode: str = "per-cell"
     generation_gamma: float = 1.0
     generation_alpha: float = 1.0
@@ -155,12 +153,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown model {m!r}; choose from {VALID_MODELS}")
         if ({"analogy", "hybrid"} & set(models)) and not ks:
             raise ConfigError("analogy/hybrid models need at least one stored count")
-        if self.system_source not in ("synthetic", "files"):
-            raise ConfigError(
-                f"system_source must be 'synthetic' or 'files', got {self.system_source!r}"
-            )
-        if self.system_source == "files" and not self.systems_dir:
-            raise ConfigError("system_source 'files' requires systems_dir")
         if self.n_target_systems < 1:
             raise ConfigError("n_target_systems must be >= 1")
         # delegates burn-in / retained / thinning validation
@@ -169,8 +161,6 @@ class ExperimentConfig:
             raise ConfigError("tau bounds must be finite")
         if self.tau_lower >= self.tau_upper:
             raise ConfigError("tau_lower must be below tau_upper")
-        if self.tau_tol <= 0:
-            raise ConfigError("tau_tol must be positive")
         if self.tau_mode not in VALID_TAU_MODES:
             raise ConfigError(
                 f"tau_mode must be one of {VALID_TAU_MODES}, got {self.tau_mode!r}"
@@ -178,7 +168,7 @@ class ExperimentConfig:
         lo, hi = self.class_range
         if not (1 <= lo <= hi):
             raise ConfigError(f"invalid class_range {self.class_range!r}")
-        if self.system_source == "synthetic" and self.entity_count < lo:
+        if not self.systems_dir and self.entity_count < lo:
             raise ConfigError(
                 f"entity_count {self.entity_count} is below the class minimum {lo}"
             )
@@ -204,9 +194,6 @@ class ExperimentConfig:
                     raise ConfigError(f"unknown {tag} setting {key!r}")
                 if val is not None:
                     values[key] = val
-        for key in ("observed_fractions", "stored_counts", "models", "class_range"):
-            if key in values:
-                values[key] = tuple(values[key])
         return cls(**values)
 
 
@@ -263,22 +250,29 @@ class RowTask:
 
 @dataclass(frozen=True)
 class _HybridPayload:
-    """Cached per-row pieces so a shared tau can be chosen after the fact."""
+    """A hybrid fit's pieces, kept so tau can be chosen after the chains ran.
+
+    ``components`` and ``truths`` cover the test cells that score the row;
+    ``tau_components`` and ``tau_truths`` the cells tau is chosen on, the
+    same arrays unless a validation slice picks tau.
+    """
 
     n_stored: int
     names: tuple[str, ...]
     components: np.ndarray
     log_evidences: np.ndarray
     truths: np.ndarray
+    tau_components: np.ndarray
+    tau_truths: np.ndarray
 
 
 def plan_rows(config: ExperimentConfig, target_names) -> list[RowTask]:
-    """The deterministic row grid: targets x fractions x model instances."""
+    """The row grid in canonical order: targets x fractions x models x K."""
     tasks = []
     for t_idx, name in enumerate(target_names):
         for f_idx, frac in enumerate(config.observed_fractions):
             for model in sorted(config.models, key=_MODEL_ORDER.__getitem__):
-                counts = (None,) if model == "irm" else config.stored_counts
+                counts = (None,) if model == "irm" else sorted(config.stored_counts)
                 for k in counts:
                     seed = derive_seed(
                         config.master_seed, "row", name, f_idx, model, k or 0
@@ -290,8 +284,9 @@ def plan_rows(config: ExperimentConfig, target_names) -> list[RowTask]:
 
 
 def materialize_systems(config: ExperimentConfig) -> list[StoredSystem]:
-    """Generate (or load) the system collection an experiment draws from."""
-    if config.system_source == "files":
+    """The system collection an experiment draws from: the files under
+    ``systems_dir`` when it is set, generated systems otherwise."""
+    if config.systems_dir:
         systems = load_systems_dir(config.systems_dir)
         if len(systems) < config.n_target_systems:
             raise ConfigError(
@@ -340,7 +335,7 @@ def _pool_for(config: ExperimentConfig, systems, task: RowTask) -> list[StoredSy
     pool = [others[i] for i in order]
     if config.include_target_in_pool:
         pool = [systems[task.target_index]] + pool
-    return _pool_prefix(pool, task.n_stored or 0)
+    return _pool_prefix(pool, task.n_stored)
 
 
 def _pool_prefix(pool, k: int) -> list[StoredSystem]:
@@ -354,25 +349,8 @@ def _pool_prefix(pool, k: int) -> list[StoredSystem]:
     return pool[:k]
 
 
-def _schedule(config: ExperimentConfig) -> McmcSchedule:
-    return McmcSchedule(config.burn_in, config.n_retained, config.thinning)
-
-
 def _truths(data: RelationData, cells) -> np.ndarray:
     return np.asarray([data.cells[r, c] for r, c in cells], dtype=np.int64)
-
-
-# Chain launches and the tau search shared by grid rows and `relgen infer`.
-# Every chain seed derives from one base seed: the row seed in the grid, the
-# --seed flag in `infer`.
-
-def _stored_chains(data: RelationData, pool, schedule: McmcSchedule, base_seed: int):
-    return [
-        run_stored_chain(
-            data, s, schedule.with_seed(derive_seed(base_seed, "stored-chain", j))
-        )
-        for j, s in enumerate(pool)
-    ]
 
 
 def _theory_chain(data: RelationData, schedule: McmcSchedule, base_seed: int):
@@ -381,35 +359,77 @@ def _theory_chain(data: RelationData, schedule: McmcSchedule, base_seed: int):
     )
 
 
-def _mixture(components, log_evidences, tau: float):
-    """Hybrid weights at tau and the mixture prediction for every cell."""
-    w = hybrid_weights(log_evidences, tau)
-    return w, predictive_prob(components, w)
+def _fit(model: str, data: RelationData, pool, schedule, base_seed: int, tau_cells):
+    """Fit one model to one split: (row fields, test predictions, report, payload).
+
+    The one place that runs a model, for grid rows and `relgen infer` alike.
+    Every chain seed derives from ``base_seed``: the row seed in the grid, the
+    --seed flag in `infer`.  The pool models also return the pool's evidence
+    report.  A hybrid fit comes back unscored: its payload holds what
+    `_choose_tau` needs to pick tau on ``tau_cells``, and `_hybrid_bits`
+    then scores it.
+    """
+    cells = data.test_cells
+    truths = _truths(data, cells)
+    if model == "irm":
+        preds = irm_predict_cells(_theory_chain(data, schedule, base_seed), data, cells)
+        return {"score": evaluate(preds, truths)}, preds, None, None
+    chains = [
+        run_stored_chain(
+            data, s, schedule.with_seed(derive_seed(base_seed, "stored-chain", j))
+        )
+        for j, s in enumerate(pool)
+    ]
+    report = analogy_report(pool, chains)
+    if model == "analogy":
+        preds = analogy_predict_cells(chains, pool, report.weights, cells)
+        bits = {
+            "score": evaluate(preds, truths),
+            "weights": tuple(zip(report.names, (float(x) for x in report.weights))),
+        }
+        return bits, preds, report, None
+    theory = _theory_chain(data, schedule, base_seed)
+    log_ev = hybrid_log_evidences(chains, theory)
+    comps = hybrid_component_predictions(chains, theory, pool, data, cells)
+    tau_comps, tau_truths = comps, truths
+    if tau_cells != cells:
+        tau_comps = hybrid_component_predictions(chains, theory, pool, data, tau_cells)
+        tau_truths = _truths(data, tau_cells)
+    payload = _HybridPayload(
+        len(pool), report.names, comps, log_ev, truths, tau_comps, tau_truths
+    )
+    return {"score": None}, None, report, payload
 
 
-def _mixture_logpred(components, log_evidences, truths, tau: float) -> float:
-    return -evaluate(_mixture(components, log_evidences, tau)[1], truths)
+def _choose_tau(payloads, bounds) -> float:
+    """tau maximizing the mixture's summed log predictive on the payloads' tau cells.
 
-
-def _best_tau(components, log_evidences, truths, *bounds) -> float:
-    """tau maximizing the mixture's log predictive on the given cells.
-
-    ``bounds`` are optimize_tau's (lower, upper, tol); omitted, its defaults.
+    ``bounds`` are optimize_tau's (lower, upper) on log10(tau); the tolerance
+    is always its default.
     """
     return optimize_tau(
-        lambda t: _mixture_logpred(components, log_evidences, truths, t), *bounds
+        lambda tau: sum(
+            -evaluate(
+                predictive_prob(p.tau_components, hybrid_weights(p.log_evidences, tau)),
+                p.tau_truths,
+            )
+            for p in payloads
+        ),
+        *bounds,
     )
 
 
-def _hybrid_bits(names, components, log_evidences, truths, tau_star: float) -> dict:
-    """A hybrid row's scored fields at the chosen tau."""
-    w, preds = _mixture(components, log_evidences, tau_star)
-    return {
-        "score": evaluate(preds, truths),
-        "weights": tuple(zip(names, (float(x) for x in w[:-1]))),
+def _hybrid_bits(p: _HybridPayload, tau_star: float):
+    """A hybrid row's scored fields and its test predictions at the chosen tau."""
+    w = hybrid_weights(p.log_evidences, tau_star)
+    preds = predictive_prob(p.components, w)
+    fields = {
+        "score": evaluate(preds, p.truths),
+        "weights": tuple(zip(p.names, (float(x) for x in w[:-1]))),
         "tau_star": float(tau_star),
         "irm_weight": float(w[-1]),
     }
+    return fields, preds
 
 
 def _validation_cells(config, data: RelationData, task: RowTask) -> list:
@@ -429,58 +449,27 @@ def _validation_cells(config, data: RelationData, task: RowTask) -> list:
     return [(int(i) // n, int(i) % n) for i in picked]
 
 
-def _run_hybrid(config, systems, task, data, truths):
-    pool = _pool_for(config, systems, task)
-    chains = _stored_chains(data, pool, _schedule(config), task.seed)
-    irm_samples = _theory_chain(data, _schedule(config), task.seed)
-    log_ev = hybrid_log_evidences(chains, irm_samples)
-    comps = hybrid_component_predictions(chains, irm_samples, pool, data, data.test_cells)
-    names = tuple(s.name for s in pool)
-
-    if config.tau_mode == "global":
-        # tau is chosen later, jointly across rows; leave the row pending
-        return None, _HybridPayload(task.n_stored, names, comps, log_ev, truths)
-
-    # per-cell: optimize directly against this row's held-out score
-    tau_comps, tau_truths = comps, truths
-    if config.tau_mode == "validation-split":
-        val_cells = _validation_cells(config, data, task)
-        tau_truths = _truths(data, val_cells)
-        tau_comps = hybrid_component_predictions(
-            chains, irm_samples, pool, data, val_cells
-        )
-    tau_star = _best_tau(
-        tau_comps, log_ev, tau_truths, config.tau_lower, config.tau_upper, config.tau_tol
-    )
-    return _hybrid_bits(names, comps, log_ev, truths, tau_star), None
-
-
 def _execute_row(config: ExperimentConfig, systems, task: RowTask):
-    """Run one grid cell; returns (ResultRow, hybrid payload or None)."""
+    """Run one grid cell; returns (ResultRow, hybrid payload or None).
+
+    Only a hybrid row under the global tau mode comes back with a payload,
+    and unscored; its tau is chosen once every row has run.
+    """
     start = time.perf_counter()
     try:
         data = _split_data(config, systems, task)
-        truths = _truths(data, data.test_cells)
-        payload = None
-        if task.model == "irm":
-            samples = _theory_chain(data, _schedule(config), task.seed)
-            preds = irm_predict_cells(samples, data, data.test_cells)
-            bits = {"score": evaluate(preds, truths)}
-        elif task.model == "analogy":
-            pool = _pool_for(config, systems, task)
-            chains = _stored_chains(data, pool, _schedule(config), task.seed)
-            report = analogy_report(pool, chains)
-            preds = analogy_predict_cells(chains, pool, report.weights, data.test_cells)
-            bits = {
-                "score": evaluate(preds, truths),
-                "weights": tuple(
-                    zip(report.names, (float(x) for x in report.weights))
-                ),
-            }
-        else:
-            bits, payload = _run_hybrid(config, systems, task, data, truths)
-            if bits is None:
-                bits = {"score": None}
+        pool = _pool_for(config, systems, task) if task.n_stored else []
+        tau_cells = data.test_cells
+        if config.tau_mode == "validation-split" and task.model == "hybrid":
+            tau_cells = _validation_cells(config, data, task)
+        schedule = McmcSchedule(config.burn_in, config.n_retained, config.thinning)
+        bits, _, _, payload = _fit(
+            task.model, data, pool, schedule, task.seed, tau_cells
+        )
+        if payload is not None and config.tau_mode != "global":
+            tau_star = _choose_tau([payload], (config.tau_lower, config.tau_upper))
+            bits = _hybrid_bits(payload, tau_star)[0]
+            payload = None
         row = ResultRow(
             target_system=task.target_name,
             model=task.model,
@@ -527,25 +516,11 @@ def _finalize_global_tau(config, rows, payloads):
     by_k: dict[int, list[int]] = {}
     for idx, payload in payloads.items():
         by_k.setdefault(payload.n_stored, []).append(idx)
-    for k in sorted(by_k):
-        idxs = sorted(by_k[k])
+    for idxs in by_k.values():
         members = [payloads[i] for i in idxs]
-
-        def total_logpred(tau: float) -> float:
-            return sum(
-                _mixture_logpred(p.components, p.log_evidences, p.truths, tau)
-                for p in members
-            )
-
-        tau_star = optimize_tau(
-            total_logpred, config.tau_lower, config.tau_upper, config.tau_tol
-        )
-        for i in idxs:
-            p = payloads[i]
-            rows[i] = replace(
-                rows[i],
-                **_hybrid_bits(p.names, p.components, p.log_evidences, p.truths, tau_star),
-            )
+        tau_star = _choose_tau(members, (config.tau_lower, config.tau_upper))
+        for i, p in zip(idxs, members):
+            rows[i] = replace(rows[i], **_hybrid_bits(p, tau_star)[0])
     return rows
 
 
@@ -588,16 +563,7 @@ def run_experiment(
     }
     if pending:
         rows = _finalize_global_tau(config, rows, pending)
-    order = sorted(
-        range(len(rows)),
-        key=lambda i: (
-            tasks[i].target_index,
-            tasks[i].fraction_index,
-            _MODEL_ORDER[tasks[i].model],
-            tasks[i].n_stored or 0,
-        ),
-    )
-    return [rows[i] for i in order]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -810,14 +776,20 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    system = load_system(args.system)
+    try:
+        system = load_system(args.system)
+    except (OSError, ValueError) as exc:
+        return _usage_error(f"--system: {exc}")
+    try:
+        spec = SplitSpec(
+            args.observed_fraction,
+            args.test_fraction,
+            derive_seed(args.seed, "split", system.name),
+        )
+    except SplitError as exc:
+        return _usage_error(f"--observed-fraction/--test-fraction: {exc}")
     rng = np.random.default_rng(derive_seed(args.seed, "simulate", system.name))
     data, _ = simulate_interactions(system, args.entities, rng)
-    spec = SplitSpec(
-        args.observed_fraction,
-        args.test_fraction,
-        derive_seed(args.seed, "split", system.name),
-    )
     save_dataset(make_split(data, spec), args.out)
     print(
         f"simulated {args.entities} entities from {system.name}: "
@@ -867,14 +839,8 @@ def _cmd_infer(args) -> int:
         schedule = _infer_schedule(args)
     except ConfigError as exc:
         return _usage_error(str(exc))
-    cells = data.test_cells
-    truths = _truths(data, cells)
-    report = None
-    tau_star = None
-    if args.model == "irm":
-        samples = _theory_chain(data, schedule, args.seed)
-        preds = irm_predict_cells(samples, data, cells)
-    else:
+    pool = []
+    if args.model != "irm":
         if not args.systems_dir:
             return _usage_error("--systems-dir is required for analogy/hybrid")
         try:
@@ -886,23 +852,19 @@ def _cmd_infer(args) -> int:
                 pool = _pool_prefix(pool, args.k)
             except ConfigError as exc:
                 return _usage_error(f"--k: {exc}")
-        chains = _stored_chains(data, pool, schedule, args.seed)
-        # for hybrid, the evidence ranking over the stored pool is a side report
-        report = analogy_report(pool, chains)
-        if args.model == "analogy":
-            preds = analogy_predict_cells(chains, pool, report.weights, cells)
-        else:
-            irm_samples = _theory_chain(data, schedule, args.seed)
-            log_ev = hybrid_log_evidences(chains, irm_samples)
-            comps = hybrid_component_predictions(chains, irm_samples, pool, data, cells)
-            tau_star = _best_tau(comps, log_ev, truths)
-            preds = _mixture(comps, log_ev, tau_star)[1]
-    _write_predictions(args.out, cells, truths, preds)
+    cells = data.test_cells
+    bits, preds, report, payload = _fit(
+        args.model, data, pool, schedule, args.seed, cells
+    )
+    if payload is not None:
+        tau_star = _choose_tau([payload], (TAU_LOG10_LOWER, TAU_LOG10_UPPER))
+        bits, preds = _hybrid_bits(payload, tau_star)
+    _write_predictions(args.out, cells, _truths(data, cells), preds)
+    # for hybrid, the evidence ranking over the stored pool is a side report
     if report is not None:
         _write_report(str(args.out) + ".report.csv", report)
-    score = evaluate(preds, truths)
-    extra = f", tau*={tau_star:.6g}" if tau_star is not None else ""
-    print(f"held-out score {score:.6f} over {len(cells)} test cells{extra}")
+    extra = f", tau*={bits['tau_star']:.6g}" if "tau_star" in bits else ""
+    print(f"held-out score {bits['score']:.6f} over {len(cells)} test cells{extra}")
     return 0
 
 
@@ -921,7 +883,6 @@ def _cmd_experiment(args) -> int:
         "stored_counts": args.k_values,
         "models": tuple(args.models.split(",")) if args.models else None,
         "systems_dir": args.systems_dir,
-        "system_source": "files" if args.systems_dir else None,
         "n_target_systems": args.targets,
         "test_fraction": args.test_fraction,
         "burn_in": args.burn_in,

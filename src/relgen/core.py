@@ -368,7 +368,11 @@ def collapsed_loglik(data: RelationData, partition, alpha: float) -> float:
     z = _as_assignments(partition)
     if z.size == 0:
         return 0.0
-    ones, zeros = pair_counts(data, z, int(z.max()) + 1)
+    return _collapsed_from_counts(*pair_counts(data, z, int(z.max()) + 1), alpha)
+
+
+def _collapsed_from_counts(ones, zeros, alpha: float) -> float:
+    """collapsed_loglik from the class-pair link and non-link counts."""
     return float(np.sum(betaln(alpha + ones, alpha + zeros) - betaln(alpha, alpha)))
 
 

@@ -232,8 +232,19 @@ def load_dataset(path) -> RelationData:
 
 
 def load_systems_dir(path) -> list[StoredSystem]:
-    """Load every .json system document in a directory, sorted by filename."""
+    """Load every .json system document in a directory, sorted by filename.
+
+    Raises ValueError when two files hold systems of the same name.
+    """
     files = sorted(Path(path).glob("*.json"))
     if not files:
         raise FileNotFoundError(f"no system files (*.json) under {path}")
-    return [load_system(f) for f in files]
+    systems = [load_system(f) for f in files]
+    first: dict[str, str] = {}
+    for f, system in zip(files, systems):
+        if system.name in first:
+            raise ValueError(
+                f"{first[system.name]} and {f.name} both hold system {system.name!r}"
+            )
+        first[system.name] = f.name
+    return systems

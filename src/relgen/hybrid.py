@@ -17,7 +17,6 @@ from .core import (
     OptimizationError,
     PosteriorSamples,
     RelationData,
-    predictive_prob,
 )
 from .analogy import (
     analogy_weights,
@@ -95,17 +94,6 @@ def hybrid_component_predictions(
     ]
     cols.append(irm_predict_cells(irm_samples, data, cells))
     return np.column_stack(cols)
-
-
-def hybrid_predict_cells(
-    stored_samples, irm_samples, systems, data: RelationData, tau: float, cells
-) -> np.ndarray:
-    """Hybrid mixture prediction for each queried cell at a fixed tau."""
-    comps = hybrid_component_predictions(
-        stored_samples, irm_samples, systems, data, cells
-    )
-    w = hybrid_weights(hybrid_log_evidences(stored_samples, irm_samples), tau)
-    return predictive_prob(comps, w)
 
 
 _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))

@@ -29,6 +29,7 @@ from .core import (
     PosteriorSamples,
     RelationData,
     _cell_indices,
+    _collapsed_from_counts,
     canonical_labels,
     clamp_probs,
     pair_counts,
@@ -222,6 +223,10 @@ def conditional_class_logweights(
     Entries follow the class labels that remain after detaching the entity;
     the final entry is a fresh class.
     """
+    if not 0 <= entity < data.n_entities:
+        raise DimensionError(
+            f"entity {entity} out of range for {data.n_entities} entities"
+        )
     state = _ChainState(data, partition)
     return _detached_logweights(state, data, entity, hp)[0]
 
@@ -236,10 +241,6 @@ def gibbs_sweep(
     state = _ChainState(data, partition)
     _sweep(state, data, hp, rng)
     return state.to_partition()
-
-
-def _collapsed_from_counts(ones, zeros, alpha: float) -> float:
-    return float(np.sum(betaln(alpha + ones, alpha + zeros) - betaln(alpha, alpha)))
 
 
 def _log_alpha_prior(alpha: float) -> float:

@@ -113,15 +113,12 @@ def test_config_defaults_are_valid():
         dict(models=()),
         dict(models=("irm", "irm")),
         dict(models=("nonsense",)),
-        dict(system_source="guess"),
-        dict(system_source="files"),  # needs systems_dir
         dict(n_target_systems=0),
         dict(test_fraction=1.2),
         dict(burn_in=-1),
         dict(n_retained=0),
         dict(thinning=0),
         dict(tau_lower=4.0, tau_upper=-4.0),
-        dict(tau_tol=0.0),
         dict(tau_mode="sometimes"),
         dict(class_range=(0, 3)),
         dict(class_range=(5, 3)),
@@ -164,6 +161,9 @@ def test_plan_rows_combinatorics():
     irm_rows = [t for t in tasks if t.model == "irm"]
     assert all(t.n_stored is None for t in irm_rows)
     assert all(t.n_stored == 2 for t in tasks if t.model != "irm")
+    # rows come out in canonical order, K ascending, whatever the config's order
+    unsorted = plan_rows(tiny_config(stored_counts=(5, 1, 2)), ["s0"])
+    assert [t.n_stored for t in unsorted if t.model == "hybrid"] == [1, 2, 5] * 2
 
 
 def test_plan_rows_default_grid_size():
@@ -456,6 +456,11 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
           "--systems-dir", str(broken)] + to_out, "error: --systems-dir: "),
         (["summarize", "--results", str(not_results)] + to_out,
          "error: --results: "),
+        (["simulate", "--system", str(not_json)] + to_out, "error: --system: "),
+        (["simulate", "--system", str(tmp_path / "missing.json")] + to_out,
+         "error: --system: "),
+        (["simulate", "--system", str(systems / "synthetic-000.json"),
+          "--observed-fraction", "2"] + to_out, "error: --observed-fraction"),
         # settings built from several flags name the setting, as `experiment`
         # does for its config errors
         (["generate", "--out-dir", str(out), "--class-min", "5", "--class-max", "3"],
@@ -504,3 +509,59 @@ def test_cli_experiment_config_file(tmp_path):
         "experiment", "--config", str(config_path), "--models", "bogus",
         "--out", str(out),
     ]) == 2
+
+
+def test_cli_config_file_systems_dir_loads_the_files(tmp_path):
+    systems = tmp_path / "systems"
+    assert main([
+        "generate", "--out-dir", str(systems), "--count", "2",
+        "--entities", "6", "--class-min", "2", "--class-max", "3", "--seed", "8",
+    ]) == 0
+    settings = {
+        "entity_count": 6, "observed_fractions": [0.4], "models": ["irm"],
+        "n_target_systems": 2, "burn_in": 2, "n_retained": 2, "thinning": 1,
+        "class_range": [2, 3],
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**settings, "systems_dir": str(systems)}))
+    from_config = tmp_path / "from-config.csv"
+    from_flag = tmp_path / "from-flag.csv"
+    assert main([
+        "experiment", "--config", str(config_path), "--out", str(from_config),
+    ]) == 0
+    config_path.write_text(json.dumps(settings))
+    assert main([
+        "experiment", "--config", str(config_path), "--systems-dir", str(systems),
+        "--out", str(from_flag),
+    ]) == 0
+    assert from_config.read_text() == from_flag.read_text()
+    # generated systems of the same names would give other rows
+    assert from_config.read_text() != emit_results_csv(
+        run_experiment(ExperimentConfig(**{**settings, "master_seed": 0}))
+    )
+
+
+def test_cli_rejects_duplicate_system_names(tmp_path, capsys):
+    systems = tmp_path / "systems"
+    assert main([
+        "generate", "--out-dir", str(systems), "--count", "2",
+        "--entities", "6", "--class-min", "2", "--class-max", "3",
+    ]) == 0
+    (systems / "copy.json").write_text((systems / "synthetic-000.json").read_text())
+    dataset = tmp_path / "data.json"
+    assert main([
+        "simulate", "--system", str(systems / "synthetic-000.json"),
+        "--entities", "6", "--out", str(dataset),
+    ]) == 0
+    capsys.readouterr()
+    out = tmp_path / "p.csv"
+    for args in (
+        ["infer", "--dataset", str(dataset), "--model", "hybrid"],
+        ["experiment", "--targets", "2", "--models", "irm", "--entities", "6",
+         "--fractions", "0.5", "--burn-in", "1", "--retained", "1", "--thinning", "1"],
+    ):
+        assert main(args + ["--systems-dir", str(systems), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --systems-dir: "), err
+        assert "synthetic-000" in err
+        assert not out.exists()

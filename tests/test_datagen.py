@@ -193,3 +193,11 @@ def test_load_systems_dir_sorted(tmp_path):
     assert [s.name for s in systems] == ["aaa", "bbb", "ccc"]
     with pytest.raises(FileNotFoundError):
         load_systems_dir(tmp_path / "empty")
+
+
+def test_load_systems_dir_rejects_duplicate_names(tmp_path):
+    system = StoredSystem("same", np.array([[0.5]]), np.array([1.0]))
+    save_system(system, tmp_path / "a.json")
+    save_system(system, tmp_path / "b.json")
+    with pytest.raises(ValueError, match="a.json and b.json"):
+        load_systems_dir(tmp_path)

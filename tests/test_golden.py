@@ -1,10 +1,11 @@
 """Golden outputs: results CSVs and `relgen infer` files, byte for byte.
 
 ``tests/golden/`` holds what the runs below write: the results CSV of the
-tiny grid in ``test_cli.tiny_config`` under each tau mode, and the
-predictions (plus the evidence report, for the pool models) of `relgen
-infer` for every model on one small dataset.  A change that alters any of
-these bytes on purpose regenerates the files with
+tiny grid in ``test_cli.tiny_config`` under each tau mode, the `relgen
+summarize` output of the per-cell one, and the predictions (plus the
+evidence report, for the pool models) of `relgen infer` for every model on
+one small dataset.  A change that alters any of these bytes on purpose
+regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -17,7 +18,14 @@ from pathlib import Path
 
 import pytest
 
-from relgen import emit_results_csv, main, run_experiment
+from relgen import (
+    emit_results_csv,
+    emit_summary_csv,
+    main,
+    parse_results_csv,
+    run_experiment,
+    summarize,
+)
 
 from test_cli import tiny_config
 
@@ -28,6 +36,10 @@ INFER_MODELS = ("irm", "analogy", "hybrid")
 
 def results_csv(tau_mode: str) -> str:
     return emit_results_csv(run_experiment(tiny_config(tau_mode=tau_mode)))
+
+
+def summary_csv(results: str) -> str:
+    return emit_summary_csv(summarize(parse_results_csv(results)))
 
 
 def infer_outputs(workdir: Path) -> dict[str, str]:
@@ -66,6 +78,11 @@ def test_results_csv_matches_golden(tau_mode):
     assert results_csv(tau_mode) == _golden(f"results-{tau_mode}.csv")
 
 
+def test_summary_matches_golden():
+    summary = summary_csv(_golden("results-per-cell.csv"))
+    assert summary == _golden("summary-per-cell.csv")
+
+
 def test_infer_outputs_match_golden(tmp_path):
     outputs = infer_outputs(tmp_path)
     assert sorted(outputs) == sorted(
@@ -81,6 +98,9 @@ if __name__ == "__main__":
         stale.unlink()
     for mode in TAU_MODES:
         (GOLDEN / f"results-{mode}.csv").write_text(results_csv(mode), encoding="utf-8")
+    (GOLDEN / "summary-per-cell.csv").write_text(
+        summary_csv(_golden("results-per-cell.csv")), encoding="utf-8"
+    )
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in infer_outputs(Path(tmp)).items():
             (GOLDEN / name).write_text(text, encoding="utf-8")

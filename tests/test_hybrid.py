@@ -13,7 +13,6 @@ from relgen import (
     harmonic_mean_evidence,
     hybrid_component_predictions,
     hybrid_log_evidences,
-    hybrid_predict_cells,
     hybrid_prior,
     hybrid_weights,
     irm_predict_cells,
@@ -113,14 +112,13 @@ def test_component_predictions_and_mixture():
     assert comps.shape == (len(data.test_cells), len(pool) + 1)
     assert np.all((comps >= 0) & (comps <= 1))
 
-    le = hybrid_log_evidences(chains, irm)
-    tau = 3.7
-    got = hybrid_predict_cells(chains, irm, pool, data, tau, data.test_cells)
-    w = hybrid_weights(le, tau)
+    single = hybrid_component_predictions(chains, irm, pool, data, data.test_cells[:1])
+    assert_allclose(single, comps[:1], rtol=1e-12)
+
+    w = hybrid_weights(hybrid_log_evidences(chains, irm), 3.7)
     expected = [predictive_prob(comps[i], w) for i in range(comps.shape[0])]
-    assert_allclose(got, expected, rtol=1e-12)
-    single = hybrid_predict_cells(chains, irm, pool, data, tau, data.test_cells[:1])
-    assert_allclose(single, expected[:1], rtol=1e-12)
+    assert_allclose(predictive_prob(comps, w), expected, rtol=1e-12)
+    assert_allclose(predictive_prob(single, w), expected[:1], rtol=1e-12)
 
 
 def test_component_predictions_reject_out_of_range_cells():

@@ -8,6 +8,7 @@ from scipy.stats import kstest
 
 from relgen import (
     ConfigError,
+    DimensionError,
     Hyperparameters,
     McmcSchedule,
     Partition,
@@ -102,6 +103,16 @@ def test_conditional_on_empty_observed_set_is_crp_seating():
         seats = np.bincount(np.delete(part.assignments, entity))
         crp = np.log(np.append(seats[seats > 0], hp.gamma))
         assert_allclose(logw, crp, rtol=0, atol=1e-12)
+
+
+def test_conditional_rejects_out_of_range_entity():
+    hp = Hyperparameters(alpha=1.0, gamma=1.0)
+    data = random_data(np.random.default_rng(3), 3)
+    part = Partition.from_assignments([0, 1, 0])
+    for entity in (-1, 3):
+        with pytest.raises(DimensionError):
+            conditional_class_logweights(data, part, entity, hp)
+    assert conditional_class_logweights(data, part, 2, hp).shape == (3,)
 
 
 @pytest.mark.parametrize("cell, observed", [(1, True), (0, True), (1, False)])
