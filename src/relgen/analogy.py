@@ -324,6 +324,13 @@ class AnalogyReport:
         object.__setattr__(self, "log_evidences", le)
         object.__setattr__(self, "weights", w)
 
+    @classmethod
+    def from_evidences(cls, names, log_evidences, log_priors=None) -> "AnalogyReport":
+        """The report for systems ``names`` with the given log-evidences."""
+        names = tuple(names)
+        w = analogy_weights(log_evidences, log_priors)
+        return cls(names, log_evidences, w, _rank_names(names, w))
+
     @property
     def best(self) -> str:
         return self.ranking[0]
@@ -355,8 +362,7 @@ def analogy_report(
     if len(set(names)) != len(names):
         raise ConfigError("stored system names must be unique")
     le = np.asarray([harmonic_mean_evidence(s.logliks) for s in samples_list])
-    w = analogy_weights(le, log_priors)
-    return AnalogyReport(names, le, w, _rank_names(names, w))
+    return AnalogyReport.from_evidences(names, le, log_priors)
 
 
 def analogy_predict_cells(

@@ -1,12 +1,17 @@
 """Experiment harness and command-line interface.
 
 The harness sweeps a grid of target systems x observed fractions x models
-(x stored-pool sizes for the analogy and hybrid models), scores every cell
-on held-out data, and emits one CSV row per grid cell.  Every row is a pure
-function of the experiment config and the master seed: data simulation,
-splits, pool order, and every chain draw its seed through a splitmix-style
-derivation, so reruns are byte-identical and any single row can be
-reproduced in isolation.
+(x stored-pool sizes for the analogy and hybrid models), scores every row
+on held-out data, and emits one CSV row each.  The (target, fraction) cell
+is the unit of work: each of its chains runs once, and its irm, analogy and
+hybrid rows for every pool size are cut from those chains, so they are
+paired comparisons.  Every row is a pure function of the experiment config
+and the master seed: data simulation, splits, pool order, and every chain
+draw their seeds through a splitmix-style derivation.  A cell's seed
+derives from (master seed, target name, fraction index); a stored chain's
+from (cell seed, "stored-chain", system name) and the theory chain's from
+(cell seed, "theory-chain").  Reruns are byte-identical, and any row can be
+reproduced in isolation from its cell seed, the CSV's seed column.
 
 Subcommands: generate, simulate, infer, experiment, summarize.
 """
@@ -21,6 +26,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +42,11 @@ from .core import (
     predictive_prob,
 )
 from .analogy import (
-    analogy_predict_cells,
+    AnalogyReport,
     analogy_report,
+    harmonic_mean_evidence,
     run_stored_chain,
+    stored_component_predictions,
 )
 from .datagen import (
     SplitSpec,
@@ -53,8 +62,6 @@ from .datagen import (
 from .hybrid import (
     TAU_LOG10_LOWER,
     TAU_LOG10_UPPER,
-    hybrid_component_predictions,
-    hybrid_log_evidences,
     hybrid_weights,
     optimize_tau,
 )
@@ -239,6 +246,9 @@ def evaluate(predictions, truths) -> float:
 
 @dataclass(frozen=True)
 class RowTask:
+    """One row of the grid.  ``seed`` is the seed of the row's (target,
+    fraction) cell, which every chain of the cell derives from."""
+
     target_index: int
     target_name: str
     fraction_index: int
@@ -267,16 +277,17 @@ class _HybridPayload:
 
 
 def plan_rows(config: ExperimentConfig, target_names) -> list[RowTask]:
-    """The row grid in canonical order: targets x fractions x models x K."""
+    """The row grid in canonical order: targets x fractions x models x K.
+
+    The rows of one (target, fraction) cell are adjacent and share its seed.
+    """
     tasks = []
     for t_idx, name in enumerate(target_names):
         for f_idx, frac in enumerate(config.observed_fractions):
+            seed = derive_seed(config.master_seed, "cell", name, f_idx)
             for model in sorted(config.models, key=_MODEL_ORDER.__getitem__):
                 counts = (None,) if model == "irm" else sorted(config.stored_counts)
                 for k in counts:
-                    seed = derive_seed(
-                        config.master_seed, "row", name, f_idx, model, k or 0
-                    )
                     tasks.append(
                         RowTask(t_idx, name, f_idx, float(frac), model, k, seed)
                     )
@@ -326,16 +337,16 @@ def _split_data(config: ExperimentConfig, systems, task: RowTask) -> RelationDat
     return make_split(full, spec)
 
 
-def _pool_for(config: ExperimentConfig, systems, task: RowTask) -> list[StoredSystem]:
-    others = [s for i, s in enumerate(systems) if i != task.target_index]
-    rng = np.random.default_rng(
-        derive_seed(config.master_seed, "pool", task.target_name)
-    )
-    order = rng.permutation(len(others))
-    pool = [others[i] for i in order]
+def _pool_for(config: ExperimentConfig, systems, target_index: int) -> list[StoredSystem]:
+    """Every system a target's rows may draw on, in the target's pool order;
+    pool size K takes the first K."""
+    target = systems[target_index]
+    others = [s for i, s in enumerate(systems) if i != target_index]
+    rng = np.random.default_rng(derive_seed(config.master_seed, "pool", target.name))
+    pool = [others[i] for i in rng.permutation(len(others))]
     if config.include_target_in_pool:
-        pool = [systems[task.target_index]] + pool
-    return _pool_prefix(pool, task.n_stored)
+        pool = [target] + pool
+    return pool
 
 
 def _pool_prefix(pool, k: int) -> list[StoredSystem]:
@@ -353,52 +364,114 @@ def _truths(data: RelationData, cells) -> np.ndarray:
     return np.asarray([data.cells[r, c] for r, c in cells], dtype=np.int64)
 
 
-def _theory_chain(data: RelationData, schedule: McmcSchedule, base_seed: int):
-    return run_irm_chain(
-        data, schedule.with_seed(derive_seed(base_seed, "theory-chain"))
-    )
+class _Cell:
+    """One split's chains, each run at most once, and every row cut from them.
 
+    `fit` is the one place that runs a model, for a grid cell and `relgen
+    infer` alike.  Chain seeds derive from ``seed``, the cell seed in the
+    grid and --seed in `infer`: stored system s's from (seed, "stored-chain",
+    s.name), the theory's from (seed, "theory-chain").  Pool size K uses the
+    first K systems of ``pool``.  The stored chains run together for the
+    largest of ``counts`` the pool can serve, and a row takes the first K of
+    their evidences and prediction columns, so rows of different K are
+    paired; a K beyond the pool fails only its own rows.  Each chain runs on
+    first use, so a cell without irm or hybrid rows runs no theory chain.
 
-def _fit(model: str, data: RelationData, pool, schedule, base_seed: int, tau_cells):
-    """Fit one model to one split: (row fields, test predictions, report, payload).
-
-    The one place that runs a model, for grid rows and `relgen infer` alike.
-    Every chain seed derives from ``base_seed``: the row seed in the grid, the
-    --seed flag in `infer`.  The pool models also return the pool's evidence
-    report.  A hybrid fit comes back unscored: its payload holds what
-    `_choose_tau` needs to pick tau on ``tau_cells``, and `_hybrid_bits`
-    then scores it.
+    Hybrid rows choose tau within ``tau_bounds`` (log10) on the test cells,
+    or on validation cells drawn with ``validation_seed``.  With
+    ``tau_bounds`` None they come back unscored, with the payload
+    `_choose_tau` needs.
     """
-    cells = data.test_cells
-    truths = _truths(data, cells)
-    if model == "irm":
-        preds = irm_predict_cells(_theory_chain(data, schedule, base_seed), data, cells)
-        return {"score": evaluate(preds, truths)}, preds, None, None
-    chains = [
-        run_stored_chain(
-            data, s, schedule.with_seed(derive_seed(base_seed, "stored-chain", j))
+
+    def __init__(
+        self, data, pool, counts, schedule, seed, tau_bounds, validation_seed=None
+    ):
+        self.data, self.pool, self.schedule, self.seed = data, pool, schedule, seed
+        self.n_run = max((k for k in counts if k <= len(pool)), default=0)
+        self.tau_bounds, self.validation_seed = tau_bounds, validation_seed
+        self.truths = _truths(data, data.test_cells)
+        self._columns: dict = {}
+
+    def _seeded(self, *label) -> McmcSchedule:
+        return self.schedule.with_seed(derive_seed(self.seed, *label))
+
+    @cached_property
+    def _stored(self):
+        """(chains, harmonic-mean log-evidences) of the first n_run systems."""
+        systems = self.pool[: self.n_run]
+        chains = [
+            run_stored_chain(self.data, s, self._seeded("stored-chain", s.name))
+            for s in systems
+        ]
+        return chains, analogy_report(systems, chains).log_evidences
+
+    @cached_property
+    def _theory(self):
+        """(chain, harmonic-mean log-evidence) of the theory."""
+        chain = run_irm_chain(self.data, self._seeded("theory-chain"))
+        return chain, harmonic_mean_evidence(chain.logliks)
+
+    @cached_property
+    def _tau_cells(self):
+        if self.validation_seed is None:
+            return self.data.test_cells
+        return _validation_cells(self.data, self.validation_seed)
+
+    def _predictions(self, cells, theory: bool) -> np.ndarray:
+        """On ``cells``: the theory's predictions, or the stored chains' as
+        (cells x n_run) columns.  Each is computed once."""
+        key = (cells, theory)
+        if key not in self._columns:
+            if theory:
+                cols = irm_predict_cells(self._theory[0], self.data, cells)
+            else:
+                cols = np.column_stack(
+                    [
+                        stored_component_predictions(chain, s, cells)
+                        for chain, s in zip(self._stored[0], self.pool)
+                    ]
+                )
+            self._columns[key] = cols
+        return self._columns[key]
+
+    def _hybrid_components(self, cells, k: int) -> np.ndarray:
+        """(cells x K+1): the first K stored columns, then the theory's."""
+        return np.column_stack(
+            [self._predictions(cells, False)[:, :k], self._predictions(cells, True)]
         )
-        for j, s in enumerate(pool)
-    ]
-    report = analogy_report(pool, chains)
-    if model == "analogy":
-        preds = analogy_predict_cells(chains, pool, report.weights, cells)
-        bits = {
-            "score": evaluate(preds, truths),
-            "weights": tuple(zip(report.names, (float(x) for x in report.weights))),
-        }
+
+    def fit(self, model: str, k: int | None):
+        """One row: (row fields, test predictions, pool report, payload).
+
+        The pool models also return the first K systems' evidence report; only
+        an unscored hybrid row returns a payload.
+        """
+        cells = self.data.test_cells
+        if model == "irm":
+            preds = self._predictions(cells, True)
+            return {"score": evaluate(preds, self.truths)}, preds, None, None
+        names = tuple(s.name for s in _pool_prefix(self.pool, k))
+        report = AnalogyReport.from_evidences(names, self._stored[1][:k])
+        if model == "analogy":
+            preds = predictive_prob(self._predictions(cells, False)[:, :k], report.weights)
+            bits = {
+                "score": evaluate(preds, self.truths),
+                "weights": tuple(zip(names, (float(x) for x in report.weights))),
+            }
+            return bits, preds, report, None
+        log_ev = np.append(report.log_evidences, self._theory[1])
+        comps = self._hybrid_components(cells, k)
+        tau_comps, tau_truths = comps, self.truths
+        if self._tau_cells != cells:
+            tau_comps = self._hybrid_components(self._tau_cells, k)
+            tau_truths = _truths(self.data, self._tau_cells)
+        payload = _HybridPayload(
+            k, names, comps, log_ev, self.truths, tau_comps, tau_truths
+        )
+        if self.tau_bounds is None:
+            return {"score": None}, None, report, payload
+        bits, preds = _hybrid_bits(payload, _choose_tau([payload], self.tau_bounds))
         return bits, preds, report, None
-    theory = _theory_chain(data, schedule, base_seed)
-    log_ev = hybrid_log_evidences(chains, theory)
-    comps = hybrid_component_predictions(chains, theory, pool, data, cells)
-    tau_comps, tau_truths = comps, truths
-    if tau_cells != cells:
-        tau_comps = hybrid_component_predictions(chains, theory, pool, data, tau_cells)
-        tau_truths = _truths(data, tau_cells)
-    payload = _HybridPayload(
-        len(pool), report.names, comps, log_ev, truths, tau_comps, tau_truths
-    )
-    return {"score": None}, None, report, payload
 
 
 def _choose_tau(payloads, bounds) -> float:
@@ -432,69 +505,72 @@ def _hybrid_bits(p: _HybridPayload, tau_star: float):
     return fields, preds
 
 
-def _validation_cells(config, data: RelationData, task: RowTask) -> list:
+def _validation_cells(data: RelationData, seed: int) -> tuple:
     n = data.n_entities
     taken = set(np.nonzero(data.observed_mask.reshape(-1))[0].tolist())
     taken |= {r * n + c for r, c in data.test_cells}
     free = np.asarray([i for i in range(n * n) if i not in taken], dtype=np.int64)
     if free.size == 0:
         raise ConfigError("validation-split tau mode needs unobserved spare cells")
-    rng = np.random.default_rng(
-        derive_seed(
-            config.master_seed, "validation", task.target_name, task.fraction_index
-        )
-    )
+    rng = np.random.default_rng(seed)
     take = min(len(data.test_cells), free.size) or free.size
     picked = np.sort(rng.permutation(free)[:take])
-    return [(int(i) // n, int(i) % n) for i in picked]
+    return tuple((int(i) // n, int(i) % n) for i in picked)
 
 
-def _execute_row(config: ExperimentConfig, systems, task: RowTask):
-    """Run one grid cell; returns (ResultRow, hybrid payload or None).
+def _grid_cell(config: ExperimentConfig, systems, task: RowTask) -> _Cell:
+    """The `_Cell` of a grid row's (target, fraction) cell."""
+    validation_seed = None
+    if config.tau_mode == "validation-split":
+        validation_seed = derive_seed(
+            config.master_seed, "validation", task.target_name, task.fraction_index
+        )
+    return _Cell(
+        _split_data(config, systems, task),
+        _pool_for(config, systems, task.target_index),
+        config.stored_counts,
+        McmcSchedule(config.burn_in, config.n_retained, config.thinning),
+        task.seed,
+        None if config.tau_mode == "global" else (config.tau_lower, config.tau_upper),
+        validation_seed,
+    )
 
-    Only a hybrid row under the global tau mode comes back with a payload,
-    and unscored; its tau is chosen once every row has run.
+
+def _execute_cell(config: ExperimentConfig, systems, tasks):
+    """Run the rows of one (target, fraction) cell from one set of chains.
+
+    Returns one (ResultRow, hybrid payload or None) per task, in order.  Only
+    a hybrid row under the global tau mode comes back with a payload, and
+    unscored; its tau is chosen once every cell has run.  A row that raises
+    is recorded with an error marker and the cell's other rows still
+    complete.  A row's wall time includes the split and chains it was the
+    first to need.
     """
+    cell = None
     start = time.perf_counter()
-    try:
-        data = _split_data(config, systems, task)
-        pool = _pool_for(config, systems, task) if task.n_stored else []
-        tau_cells = data.test_cells
-        if config.tau_mode == "validation-split" and task.model == "hybrid":
-            tau_cells = _validation_cells(config, data, task)
-        schedule = McmcSchedule(config.burn_in, config.n_retained, config.thinning)
-        bits, _, _, payload = _fit(
-            task.model, data, pool, schedule, task.seed, tau_cells
-        )
-        if payload is not None and config.tau_mode != "global":
-            tau_star = _choose_tau([payload], (config.tau_lower, config.tau_upper))
-            bits = _hybrid_bits(payload, tau_star)[0]
-            payload = None
-        row = ResultRow(
+    out = []
+    for task in tasks:
+        fields = dict(
             target_system=task.target_name,
             model=task.model,
             n_stored=task.n_stored,
             observed_fraction=task.fraction,
-            n_test=len(data.test_cells),
             seed=task.seed,
-            wall_seconds=time.perf_counter() - start,
-            **bits,
         )
-        return row, payload
-    except Exception as exc:  # noqa: BLE001 - a row failure must not kill the run
-        row = ResultRow(
-            target_system=task.target_name,
-            model=task.model,
-            n_stored=task.n_stored,
-            observed_fraction=task.fraction,
-            score=None,
-            n_test=0,
-            seed=task.seed,
-            status="error",
-            error=f"{type(exc).__name__}: {exc}",
-            wall_seconds=time.perf_counter() - start,
-        )
-        return row, None
+        payload = None
+        try:
+            if cell is None:
+                cell = _grid_cell(config, systems, task)
+            bits, _, _, payload = cell.fit(task.model, task.n_stored)
+            fields.update(n_test=len(cell.data.test_cells), **bits)
+        except Exception as exc:  # noqa: BLE001 - a row failure must not kill the run
+            fields.update(
+                score=None, n_test=0, status="error", error=f"{type(exc).__name__}: {exc}"
+            )
+        now = time.perf_counter()
+        out.append((ResultRow(**fields, wall_seconds=now - start), payload))
+        start = now
+    return out
 
 
 # (config, systems) of the grid a worker process serves; set by the pool's
@@ -507,8 +583,8 @@ def _init_worker(config: ExperimentConfig, systems) -> None:
     _WORKER_GRID = (config, systems)
 
 
-def _execute_task(task: RowTask):
-    return _execute_row(*_WORKER_GRID, task)
+def _execute_task(tasks):
+    return _execute_cell(*_WORKER_GRID, tasks)
 
 
 def _finalize_global_tau(config, rows, payloads):
@@ -532,30 +608,38 @@ def run_experiment(
 ) -> list[ResultRow]:
     """Run the full grid and return rows in canonical order.
 
-    A row that raises is recorded with an error marker and the run continues.
-    Output is independent of ``workers``; pass ``progress`` (a callable
-    taking done and total counts) for coarse status reporting.
+    The (target, fraction) cell is the unit of work: its chains run once and
+    all of its rows are cut from them (see `_Cell`); the chains are dropped
+    when the cell's rows are built.  A row that raises is recorded with an
+    error marker and the run continues.  Output is independent of
+    ``workers``, which run whole cells; pass ``progress`` (a callable taking
+    done and total row counts) for coarse status reporting.
     """
     if systems is None:
         systems = materialize_systems(config)
     targets = systems[: config.n_target_systems]
     tasks = plan_rows(config, [s.name for s in targets])
+    cells = [
+        list(group)
+        for _, group in groupby(tasks, key=lambda t: (t.target_index, t.fraction_index))
+    ]
 
     results: list[tuple[ResultRow, _HybridPayload | None]] = []
+
+    def collect(outs):
+        for out in outs:
+            results.extend(out)
+            if progress:
+                progress(len(results), len(tasks))
+
     if workers > 1:
-        # the library goes to each worker once; a task carries only its RowTask
+        # the library goes to each worker once; a task carries only its cell's rows
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(config, systems)
         ) as pool:
-            for done, out in enumerate(pool.map(_execute_task, tasks), start=1):
-                results.append(out)
-                if progress:
-                    progress(done, len(tasks))
+            collect(pool.map(_execute_task, cells))
     else:
-        for done, task in enumerate(tasks, start=1):
-            results.append(_execute_row(config, systems, task))
-            if progress:
-                progress(done, len(tasks))
+        collect(_execute_cell(config, systems, cell) for cell in cells)
 
     rows = [row for row, _ in results]
     pending = {
@@ -789,7 +873,10 @@ def _cmd_simulate(args) -> int:
     except SplitError as exc:
         return _usage_error(f"--observed-fraction/--test-fraction: {exc}")
     rng = np.random.default_rng(derive_seed(args.seed, "simulate", system.name))
-    data, _ = simulate_interactions(system, args.entities, rng)
+    try:
+        data, _ = simulate_interactions(system, args.entities, rng)
+    except ValueError as exc:
+        return _usage_error(f"--entities: {exc}")
     save_dataset(make_split(data, spec), args.out)
     print(
         f"simulated {args.entities} entities from {system.name}: "
@@ -852,14 +939,12 @@ def _cmd_infer(args) -> int:
                 pool = _pool_prefix(pool, args.k)
             except ConfigError as exc:
                 return _usage_error(f"--k: {exc}")
-    cells = data.test_cells
-    bits, preds, report, payload = _fit(
-        args.model, data, pool, schedule, args.seed, cells
+    cell = _Cell(
+        data, pool, (len(pool),), schedule, args.seed, (TAU_LOG10_LOWER, TAU_LOG10_UPPER)
     )
-    if payload is not None:
-        tau_star = _choose_tau([payload], (TAU_LOG10_LOWER, TAU_LOG10_UPPER))
-        bits, preds = _hybrid_bits(payload, tau_star)
-    _write_predictions(args.out, cells, _truths(data, cells), preds)
+    bits, preds, report, _ = cell.fit(args.model, len(pool) or None)
+    cells = data.test_cells
+    _write_predictions(args.out, cells, cell.truths, preds)
     # for hybrid, the evidence ranking over the stored pool is a side report
     if report is not None:
         _write_report(str(args.out) + ".report.csv", report)

@@ -157,7 +157,10 @@ def test_plan_rows_combinatorics():
     tasks = plan_rows(config, ["s0", "s1", "s2"])
     # per target and fraction: one theory row + one analogy + one hybrid
     assert len(tasks) == 3 * 2 * 3
-    assert len({t.seed for t in tasks}) == len(tasks)
+    # one seed per (target, fraction) cell, shared by the cell's rows
+    cell_seeds = {(t.target_name, t.fraction_index): t.seed for t in tasks}
+    assert len(set(cell_seeds.values())) == 3 * 2
+    assert all(t.seed == cell_seeds[t.target_name, t.fraction_index] for t in tasks)
     irm_rows = [t for t in tasks if t.model == "irm"]
     assert all(t.n_stored is None for t in irm_rows)
     assert all(t.n_stored == 2 for t in tasks if t.model != "irm")
@@ -311,6 +314,62 @@ def test_run_experiment_records_row_failures():
     assert len(fine) == 4
 
 
+def test_run_experiment_keeps_errors_per_row():
+    # a pool of two serves K = 2 but not K = 5: only the K = 5 rows fail
+    rows = run_experiment(tiny_config(stored_counts=(2, 5)))
+    failed = [r for r in rows if r.status == "error"]
+    assert {(r.model, r.n_stored) for r in failed} == {("analogy", 5), ("hybrid", 5)}
+    assert all("pool" in r.error for r in failed)
+    fine = [r for r in rows if r.status == "ok"]
+    assert {(r.model, r.n_stored) for r in fine} == {
+        ("irm", None), ("analogy", 2), ("hybrid", 2)
+    }
+    assert len(fine) == 3 * 2 * 3
+
+
+def test_cell_runs_each_chain_once_and_pairs_its_rows(monkeypatch):
+    import relgen.cli as cli
+
+    counts = {"stored": 0, "theory": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "run_stored_chain", counting("stored", cli.run_stored_chain))
+    monkeypatch.setattr(cli, "run_irm_chain", counting("theory", cli.run_irm_chain))
+    config = tiny_config(stored_counts=(1, 2))
+    rows = run_experiment(config)
+    cells = config.n_target_systems * len(config.observed_fractions)
+    assert counts == {"stored": 2 * cells, "theory": cells}
+    assert all(r.status == "ok" for r in rows)
+    # a cell's analogy and hybrid rows weigh the same stored evidences, so
+    # the hybrid's stored weights, renormalised, are the analogy's weights
+    for analogy in (r for r in rows if r.model == "analogy"):
+        (hybrid,) = [
+            r for r in rows
+            if r.model == "hybrid" and r.n_stored == analogy.n_stored
+            and (r.target_system, r.observed_fraction)
+            == (analogy.target_system, analogy.observed_fraction)
+        ]
+        stored = np.array([w for _, w in hybrid.weights])
+        assert_allclose(stored / stored.sum(), [w for _, w in analogy.weights], rtol=1e-9)
+
+    def csv_of(rows, model, k):
+        return emit_results_csv([r for r in rows if r.model == model and r.n_stored == k])
+
+    # the K = 2 rows do not depend on which other pool sizes the grid holds
+    alone = run_experiment(tiny_config(stored_counts=(2,)))
+    for model in ("analogy", "hybrid"):
+        assert csv_of(rows, model, 2) == csv_of(alone, model, 2)
+    # nor does the theory row depend on the other models
+    irm_only = run_experiment(tiny_config(models=("irm",)))
+    assert csv_of(rows, "irm", None) == emit_results_csv(irm_only)
+
+
 def test_run_experiment_global_tau_is_shared():
     config = tiny_config(models=("hybrid",), tau_mode="global")
     rows = run_experiment(config)
@@ -461,6 +520,8 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
          "error: --system: "),
         (["simulate", "--system", str(systems / "synthetic-000.json"),
           "--observed-fraction", "2"] + to_out, "error: --observed-fraction"),
+        (["simulate", "--system", str(systems / "synthetic-000.json"),
+          "--entities", "0"] + to_out, "error: --entities: "),
         # settings built from several flags name the setting, as `experiment`
         # does for its config errors
         (["generate", "--out-dir", str(out), "--class-min", "5", "--class-max", "3"],
