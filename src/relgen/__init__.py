@@ -13,6 +13,8 @@ Three models over binary relational data on n entities:
 wires everything into a reproducible evaluation grid.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     ConfigError,
     DegenerateWeightsError,
@@ -92,72 +94,9 @@ from .cli import (
 
 __version__ = "0.1.0"
 
+# every name imported above; the submodules themselves stay out
 __all__ = [
-    "AnalogyReport",
-    "ConfigError",
-    "DegenerateWeightsError",
-    "DimensionError",
-    "ExperimentConfig",
-    "GenerationError",
-    "Hyperparameters",
-    "McmcSchedule",
-    "OptimizationError",
-    "Partition",
-    "PosteriorSamples",
-    "RelationData",
-    "ResultRow",
-    "SplitError",
-    "SplitSpec",
-    "StoredSystem",
-    "SummaryRow",
-    "analogy_predict_cells",
-    "analogy_report",
-    "analogy_weights",
-    "bernoulli_loglik",
-    "canonical_labels",
-    "clamp_probs",
-    "collapsed_loglik",
-    "conditional_class_logweights",
-    "crp_assignment_probs",
-    "crp_log_prior",
-    "dataset_from_text",
-    "dataset_to_text",
-    "derive_seed",
-    "emit_results_csv",
-    "emit_summary_csv",
-    "evaluate",
-    "generate_synthetic_system",
-    "gibbs_sweep",
-    "gibbs_sweep_stored",
-    "harmonic_mean_evidence",
-    "hybrid_component_predictions",
-    "hybrid_log_evidences",
-    "hybrid_prior",
-    "hybrid_weights",
-    "irm_predict_cells",
-    "load_dataset",
-    "load_system",
-    "load_systems_dir",
-    "main",
-    "make_split",
-    "mh_update_alpha",
-    "mh_update_gamma",
-    "optimize_tau",
-    "pair_counts",
-    "parse_results_csv",
-    "plan_rows",
-    "predictive_prob",
-    "run_experiment",
-    "run_irm_chain",
-    "run_stored_chain",
-    "sample_partition",
-    "sample_stored_assignments",
-    "save_dataset",
-    "save_system",
-    "simulate_interactions",
-    "stored_component_predictions",
-    "summarize",
-    "system_from_text",
-    "system_to_text",
-    "__version__",
-]
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

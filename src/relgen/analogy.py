@@ -328,6 +328,8 @@ class AnalogyReport:
     def from_evidences(cls, names, log_evidences, log_priors=None) -> "AnalogyReport":
         """The report for systems ``names`` with the given log-evidences."""
         names = tuple(names)
+        if len(set(names)) != len(names):
+            raise ConfigError("stored system names must be unique")
         w = analogy_weights(log_evidences, log_priors)
         return cls(names, log_evidences, w, _rank_names(names, w))
 
@@ -358,11 +360,8 @@ def analogy_report(
         raise ConfigError(
             f"equal draw counts required across systems, got {sorted(draw_counts)}"
         )
-    names = tuple(s.name for s in systems)
-    if len(set(names)) != len(names):
-        raise ConfigError("stored system names must be unique")
     le = np.asarray([harmonic_mean_evidence(s.logliks) for s in samples_list])
-    return AnalogyReport.from_evidences(names, le, log_priors)
+    return AnalogyReport.from_evidences((s.name for s in systems), le, log_priors)
 
 
 def analogy_predict_cells(

@@ -43,10 +43,9 @@ from .core import (
 )
 from .analogy import (
     AnalogyReport,
+    analogy_predict_cells,
     analogy_report,
-    harmonic_mean_evidence,
     run_stored_chain,
-    stored_component_predictions,
 )
 from .datagen import (
     SplitSpec,
@@ -62,6 +61,8 @@ from .datagen import (
 from .hybrid import (
     TAU_LOG10_LOWER,
     TAU_LOG10_UPPER,
+    hybrid_component_predictions,
+    hybrid_log_evidences,
     hybrid_weights,
     optimize_tau,
 )
@@ -110,6 +111,38 @@ def derive_seed(master: int, *parts) -> int:
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_STORED_COUNTS = (2, 5, 10, 100)
 
+# the settings of each scalar type, and the item type of each list setting
+_SETTING_TYPES = {
+    int: ("entity_count", "n_target_systems", "burn_in", "n_retained", "thinning",
+          "master_seed"),
+    float: ("test_fraction", "tau_lower", "tau_upper", "generation_gamma",
+            "generation_alpha"),
+    str: ("tau_mode",),
+    bool: ("include_target_in_pool", "emit_timing"),
+}
+_LIST_ITEM_TYPES = {
+    "observed_fractions": float, "stored_counts": int, "models": str, "class_range": int
+}
+
+
+def _typed(name: str, value, kind: type):
+    """``value`` as ``kind`` (int, float, bool or str), or a ConfigError
+    naming the setting.  An int passes as a float; only a bool passes as a
+    bool."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _typed_list(name: str, value, kind: type) -> tuple:
+    """A list or tuple setting as a tuple of ``kind`` items; see `_typed`."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ConfigError(f"{name} must be a list of {kind.__name__}, got {value!r}")
+    return tuple(_typed(f"{name} item", v, kind) for v in value)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -136,9 +169,20 @@ class ExperimentConfig:
     emit_timing: bool = False
 
     def __post_init__(self):
+        typed = {
+            name: _typed(name, getattr(self, name), kind)
+            for kind, names in _SETTING_TYPES.items()
+            for name in names
+        }
+        for name, kind in _LIST_ITEM_TYPES.items():
+            typed[name] = _typed_list(name, getattr(self, name), kind)
+        if not isinstance(self.systems_dir, (str, Path, type(None))):
+            raise ConfigError(f"systems_dir must be a path, got {self.systems_dir!r}")
+        for name, value in typed.items():
+            object.__setattr__(self, name, value)
         if self.entity_count < 1:
             raise ConfigError(f"entity_count must be >= 1, got {self.entity_count}")
-        fr = tuple(float(f) for f in self.observed_fractions)
+        fr = self.observed_fractions
         if not fr or len(set(fr)) != len(fr):
             raise ConfigError("observed_fractions must be non-empty and unique")
         if not (0.0 <= self.test_fraction <= 1.0):
@@ -149,10 +193,9 @@ class ExperimentConfig:
                     f"observed fraction {f!r} incompatible with test fraction "
                     f"{self.test_fraction!r}"
                 )
-        ks = tuple(int(k) for k in self.stored_counts)
+        ks, models = self.stored_counts, self.models
         if len(set(ks)) != len(ks) or any(k < 1 for k in ks):
             raise ConfigError(f"stored_counts must be unique positive ints, got {ks}")
-        models = tuple(self.models)
         if not models or len(set(models)) != len(models):
             raise ConfigError("models must be a non-empty list without duplicates")
         for m in models:
@@ -172,6 +215,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"tau_mode must be one of {VALID_TAU_MODES}, got {self.tau_mode!r}"
             )
+        if len(self.class_range) != 2:
+            raise ConfigError(
+                f"class_range must be a [min, max] pair, got {self.class_range!r}"
+            )
         lo, hi = self.class_range
         if not (1 <= lo <= hi):
             raise ConfigError(f"invalid class_range {self.class_range!r}")
@@ -181,10 +228,6 @@ class ExperimentConfig:
             )
         if self.generation_gamma <= 0 or self.generation_alpha <= 0:
             raise ConfigError("generation_gamma and generation_alpha must be positive")
-        object.__setattr__(self, "observed_fractions", fr)
-        object.__setattr__(self, "stored_counts", ks)
-        object.__setattr__(self, "models", models)
-        object.__setattr__(self, "class_range", (int(lo), int(hi)))
 
     @classmethod
     def from_sources(
@@ -367,15 +410,16 @@ def _truths(data: RelationData, cells) -> np.ndarray:
 class _Cell:
     """One split's chains, each run at most once, and every row cut from them.
 
-    `fit` is the one place that runs a model, for a grid cell and `relgen
-    infer` alike.  Chain seeds derive from ``seed``, the cell seed in the
-    grid and --seed in `infer`: stored system s's from (seed, "stored-chain",
-    s.name), the theory's from (seed, "theory-chain").  Pool size K uses the
-    first K systems of ``pool``.  The stored chains run together for the
-    largest of ``counts`` the pool can serve, and a row takes the first K of
-    their evidences and prediction columns, so rows of different K are
-    paired; a K beyond the pool fails only its own rows.  Each chain runs on
-    first use, so a cell without irm or hybrid rows runs no theory chain.
+    `fit` is the one place that fits a model, for a grid cell and `relgen
+    infer` alike.  The cell shares only its chains between rows.  Chain seeds
+    derive from ``seed``, the cell seed in the grid and --seed in `infer`:
+    stored system s's from (seed, "stored-chain", s.name), the theory's from
+    (seed, "theory-chain").  Pool size K uses the first K systems of
+    ``pool``.  The stored chains run together for the largest of ``counts``
+    the pool can serve, and a row passes the first K of them to the library's
+    evidence and prediction functions, so rows of different K are paired; a
+    K beyond the pool fails only its own rows.  Each chain runs on first use,
+    so a cell without irm or hybrid rows runs no theory chain.
 
     Hybrid rows choose tau within ``tau_bounds`` (log10) on the test cells,
     or on validation cells drawn with ``validation_seed``.  With
@@ -390,55 +434,21 @@ class _Cell:
         self.n_run = max((k for k in counts if k <= len(pool)), default=0)
         self.tau_bounds, self.validation_seed = tau_bounds, validation_seed
         self.truths = _truths(data, data.test_cells)
-        self._columns: dict = {}
 
     def _seeded(self, *label) -> McmcSchedule:
         return self.schedule.with_seed(derive_seed(self.seed, *label))
 
     @cached_property
-    def _stored(self):
-        """(chains, harmonic-mean log-evidences) of the first n_run systems."""
-        systems = self.pool[: self.n_run]
-        chains = [
+    def stored(self) -> list:
+        """The chains of the first n_run pool systems, in pool order."""
+        return [
             run_stored_chain(self.data, s, self._seeded("stored-chain", s.name))
-            for s in systems
+            for s in self.pool[: self.n_run]
         ]
-        return chains, analogy_report(systems, chains).log_evidences
 
     @cached_property
-    def _theory(self):
-        """(chain, harmonic-mean log-evidence) of the theory."""
-        chain = run_irm_chain(self.data, self._seeded("theory-chain"))
-        return chain, harmonic_mean_evidence(chain.logliks)
-
-    @cached_property
-    def _tau_cells(self):
-        if self.validation_seed is None:
-            return self.data.test_cells
-        return _validation_cells(self.data, self.validation_seed)
-
-    def _predictions(self, cells, theory: bool) -> np.ndarray:
-        """On ``cells``: the theory's predictions, or the stored chains' as
-        (cells x n_run) columns.  Each is computed once."""
-        key = (cells, theory)
-        if key not in self._columns:
-            if theory:
-                cols = irm_predict_cells(self._theory[0], self.data, cells)
-            else:
-                cols = np.column_stack(
-                    [
-                        stored_component_predictions(chain, s, cells)
-                        for chain, s in zip(self._stored[0], self.pool)
-                    ]
-                )
-            self._columns[key] = cols
-        return self._columns[key]
-
-    def _hybrid_components(self, cells, k: int) -> np.ndarray:
-        """(cells x K+1): the first K stored columns, then the theory's."""
-        return np.column_stack(
-            [self._predictions(cells, False)[:, :k], self._predictions(cells, True)]
-        )
+    def theory(self):
+        return run_irm_chain(self.data, self._seeded("theory-chain"))
 
     def fit(self, model: str, k: int | None):
         """One row: (row fields, test predictions, pool report, payload).
@@ -446,27 +456,32 @@ class _Cell:
         The pool models also return the first K systems' evidence report; only
         an unscored hybrid row returns a payload.
         """
-        cells = self.data.test_cells
+        data, cells, truths = self.data, self.data.test_cells, self.truths
         if model == "irm":
-            preds = self._predictions(cells, True)
-            return {"score": evaluate(preds, self.truths)}, preds, None, None
-        names = tuple(s.name for s in _pool_prefix(self.pool, k))
-        report = AnalogyReport.from_evidences(names, self._stored[1][:k])
+            preds = irm_predict_cells(self.theory, data, cells)
+            return {"score": evaluate(preds, truths)}, preds, None, None
+        systems = _pool_prefix(self.pool, k)
+        chains = self.stored[:k]
         if model == "analogy":
-            preds = predictive_prob(self._predictions(cells, False)[:, :k], report.weights)
+            report = analogy_report(systems, chains)
+            preds = analogy_predict_cells(chains, systems, report.weights, cells)
             bits = {
-                "score": evaluate(preds, self.truths),
-                "weights": tuple(zip(names, (float(x) for x in report.weights))),
+                "score": evaluate(preds, truths),
+                "weights": tuple(zip(report.names, (float(x) for x in report.weights))),
             }
             return bits, preds, report, None
-        log_ev = np.append(report.log_evidences, self._theory[1])
-        comps = self._hybrid_components(cells, k)
-        tau_comps, tau_truths = comps, self.truths
-        if self._tau_cells != cells:
-            tau_comps = self._hybrid_components(self._tau_cells, k)
-            tau_truths = _truths(self.data, self._tau_cells)
+        log_ev = hybrid_log_evidences(chains, self.theory)
+        report = AnalogyReport.from_evidences((s.name for s in systems), log_ev[:-1])
+        comps = hybrid_component_predictions(chains, self.theory, systems, data, cells)
+        tau_comps, tau_truths = comps, truths
+        if self.validation_seed is not None:
+            tau_cells = _validation_cells(data, self.validation_seed)
+            tau_comps = hybrid_component_predictions(
+                chains, self.theory, systems, data, tau_cells
+            )
+            tau_truths = _truths(data, tau_cells)
         payload = _HybridPayload(
-            k, names, comps, log_ev, self.truths, tau_comps, tau_truths
+            k, report.names, comps, log_ev, truths, tau_comps, tau_truths
         )
         if self.tau_bounds is None:
             return {"score": None}, None, report, payload
@@ -633,9 +648,13 @@ def run_experiment(
                 progress(len(results), len(tasks))
 
     if workers > 1:
-        # the library goes to each worker once; a task carries only its cell's rows
+        # the library goes to each worker once; a task carries only its cell's
+        # rows.  A forking pool starts all its workers on the first task, so
+        # it starts no more than there are cells.
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(config, systems)
+            max_workers=max(1, min(workers, len(cells))),
+            initializer=_init_worker,
+            initargs=(config, systems),
         ) as pool:
             collect(pool.map(_execute_task, cells))
     else:
@@ -954,6 +973,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.workers < 1:
+        return _usage_error(f"--workers: must be at least 1, got {args.workers}")
     file_values = None
     if args.config:
         try:

@@ -391,11 +391,9 @@ def predictive_prob(component_probs, weights):
     """Mixture predictive probability: sum_k w_k p_k, clamped.
 
     ``component_probs`` is one cell's K-vector, giving a float, or a
-    (cells x K) array, giving one probability per row.  Components with
-    exactly zero weight are dropped before mixing, so a zero-weight component
-    never perturbs the result.  Each row is mixed by its own dot product over
-    a C-contiguous copy of the live columns, so a row's result is bit for bit
-    the result for that row passed alone.
+    (cells x K) array, giving one probability per row, from one matrix
+    product.  Components with exactly zero weight are dropped before mixing,
+    so a zero-weight component never perturbs the result.
     """
     p = np.asarray(component_probs, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -409,9 +407,5 @@ def predictive_prob(component_probs, weights):
     if (w < 0).any() or abs(w.sum() - 1.0) > 1e-6:
         raise ValueError("weights must be nonnegative and sum to 1")
     live = w > 0.0
-    w_live = w[live]
-    rows = np.atleast_2d(np.ascontiguousarray(p[..., live]))
-    mixed = clamp_probs(
-        np.fromiter((np.dot(w_live, row) for row in rows), np.float64, len(rows))
-    )
-    return float(mixed[0]) if p.ndim == 1 else mixed
+    mixed = clamp_probs(p[..., live] @ w[live])
+    return float(mixed) if p.ndim == 1 else mixed

@@ -1,6 +1,7 @@
 """Seed derivation, config handling, the experiment grid, CSV, and commands."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from relgen import (
     ConfigError,
     DimensionError,
     ExperimentConfig,
+    RelationData,
     ResultRow,
     derive_seed,
     emit_results_csv,
@@ -101,9 +103,25 @@ def test_config_defaults_are_valid():
     assert config.n_target_systems == 101
 
 
+# settings of the wrong type, as a JSON config file can give them
+WRONG_TYPES = [
+    dict(entity_count="5"),
+    dict(tau_lower="x"),
+    dict(master_seed="x"),
+    dict(class_range=5),
+    dict(class_range=[2, 3, 4]),
+    dict(observed_fractions="abc"),
+    dict(stored_counts=[2.5]),
+    dict(include_target_in_pool="no"),
+    dict(models="irm"),
+    dict(entity_count=True),
+    dict(systems_dir=5),
+]
+
+
 @pytest.mark.parametrize(
     "bad",
-    [
+    WRONG_TYPES + [
         dict(entity_count=0),
         dict(observed_fractions=()),
         dict(observed_fractions=(0.2, 0.2)),
@@ -128,6 +146,13 @@ def test_config_defaults_are_valid():
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
         ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", WRONG_TYPES)
+def test_config_wrong_type_names_the_setting(bad):
+    (name,) = bad
+    with pytest.raises(ConfigError, match=f"^{name} "):
+        ExperimentConfig.from_sources(bad)
 
 
 def test_config_from_sources_layering():
@@ -301,6 +326,41 @@ def test_run_experiment_worker_count_is_invisible():
     assert emit_results_csv(alone) == emit_results_csv(pooled)
 
 
+def test_run_experiment_sizes_the_pool_by_cells(monkeypatch):
+    import relgen.cli as cli
+
+    sizes = []
+
+    class InlinePool:
+        """Runs the pool's tasks in this process, recording its size."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "_WORKER_GRID", ())
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    config = tiny_config(n_target_systems=1, models=("irm",))
+    serial = emit_results_csv(run_experiment(config))
+    # two cells: eight workers asked for, two started
+    assert emit_results_csv(run_experiment(config, workers=8)) == serial
+    one_cell = replace(config, observed_fractions=config.observed_fractions[:1])
+    # one cell still goes through the pool, with one worker
+    assert emit_results_csv(run_experiment(one_cell, workers=2)) == emit_results_csv(
+        run_experiment(one_cell)
+    )
+    assert sizes == [2, 1]
+
+
 def test_run_experiment_records_row_failures():
     # ask for more stored systems than the pool can provide: those rows
     # error out, everything else still completes
@@ -383,6 +443,36 @@ def test_run_experiment_validation_split_mode():
     rows = run_experiment(config)
     assert all(r.status == "ok" for r in rows)
     assert all(r.tau_star is not None for r in rows)
+
+
+def _split(n, observed, test_cells):
+    mask = np.zeros((n, n), dtype=bool)
+    for r, c in observed:
+        mask[r, c] = True
+    return RelationData(n, np.zeros((n, n), dtype=np.int8), mask, tuple(test_cells))
+
+
+def test_validation_cells_are_spare_sorted_and_seeded():
+    from relgen.cli import _validation_cells
+
+    n = 6
+    observed = [(r, c) for r in range(n) for c in range(n) if (r + c) % 3 == 0]
+    data = _split(n, observed, [(0, 1), (2, 3), (4, 4)])
+    cells = _validation_cells(data, seed=11)
+    assert len(cells) == 3  # as many as the test cells
+    assert not set(cells) & (set(observed) | set(data.test_cells))
+    assert list(cells) == sorted(cells)
+    assert _validation_cells(data, seed=11) == cells
+    assert {_validation_cells(data, seed) for seed in range(20)} != {cells}
+
+    # fewer spare cells than test cells, or no test cells: every spare cell
+    spare = {(r, c) for r in range(n) for c in range(n)} - set(observed)
+    crowded = _split(n, observed, sorted(spare)[:-2])
+    assert _validation_cells(crowded, seed=3) == tuple(sorted(spare)[-2:])
+    untested = _split(n, observed, [])
+    assert _validation_cells(untested, seed=3) == tuple(sorted(spare))
+    with pytest.raises(ConfigError):
+        _validation_cells(_split(n, observed, sorted(spare)), seed=3)
 
 
 def test_include_target_in_pool_changes_membership():
@@ -533,6 +623,22 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
         assert main(args) == 2, args
         assert capsys.readouterr().err.startswith(prefix), args
         assert not out.exists()
+
+
+def test_cli_experiment_rejects_bad_workers_and_setting_types(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    base = ["experiment", "--targets", "1", "--models", "irm", "--entities", "6",
+            "--fractions", "0.5", "--burn-in", "1", "--retained", "1",
+            "--thinning", "1", "--out", str(out)]
+    for workers in ("0", "-1"):
+        assert main(base + ["--workers", workers]) == 2
+        assert capsys.readouterr().err.startswith("error: --workers: ")
+        assert not out.exists()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"stored_counts": [2.5]}))
+    assert main(base + ["--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: stored_counts item ")
+    assert not out.exists()
 
 
 def test_cli_experiment_error_exit(tmp_path):

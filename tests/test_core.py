@@ -1,5 +1,7 @@
 """Shared containers and probability primitives."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -254,14 +256,18 @@ def test_predictive_prob_mixture():
 
 @pytest.mark.parametrize("n_components", [3, 6, 21, 101])
 def test_predictive_prob_rows_match_single_cell_calls(n_components):
-    # the (cells x K) form must reproduce the one-cell form bit for bit
+    # the (cells x K) form agrees with an exactly rounded sum per row and
+    # with the one-cell form, up to the summation order's last bits
     rng = np.random.default_rng(n_components)
     comps = rng.random((200, n_components))
     w = rng.random(n_components) ** 8
     w[rng.permutation(n_components)[: n_components // 3]] = 0.0
     w /= w.sum()
-    expected = np.array([predictive_prob(comps[i], w) for i in range(len(comps))])
-    np.testing.assert_array_equal(predictive_prob(comps, w), expected)
+    mixed = predictive_prob(comps, w)
+    reference = clamp_probs(np.array([math.fsum(w * row) for row in comps]))
+    assert_allclose(mixed, reference, rtol=1e-13, atol=0)
+    single = np.array([predictive_prob(comps[i], w) for i in range(len(comps))])
+    assert_allclose(mixed, single, rtol=1e-13, atol=0)
     assert predictive_prob(comps[:0], w).shape == (0,)
 
 
