@@ -23,30 +23,31 @@ from .core import (
     RelationData,
     StoredSystem,
     _cell_indices,
-    bernoulli_loglik,
-    clamp_probs,
+    _check_assignments,
+    _log_tables,
+    _loglik_from_counts,
+    pair_counts,
     predictive_prob,
 )
 from .irm import McmcSchedule, _sample_logweights
 
 
 def _sweep_tables(data: RelationData, system: StoredSystem):
-    """(G, B, log class prior) of the incremental sweep for one dataset.
+    """(G, B, log class prior, log link tables) of the chain for one dataset.
 
     ``G[:, b]`` (4 x m) turns one neighbour's (r1, rt, c1, ct) tally row, for
     a neighbour in class b, into log-weights over the m classes.  ``B``
     (n x m) holds each entity's log prior plus its self-cell term;
     zero-prior classes stay at -inf.
     """
-    p = clamp_probs(system.link_probs)
-    log_link, log_nolink = np.log(p), np.log1p(-p)
+    log_link, log_nolink = log_tables = _log_tables(system.link_probs)
     with np.errstate(divide="ignore"):
         log_prior = np.log(system.class_probs)
     diff = log_link - log_nolink
     G = np.stack([diff.T, log_nolink.T, diff, log_nolink])
     self_terms = np.stack([np.diagonal(log_link), np.diagonal(log_nolink)])
     B = log_prior + data.self_tallies @ self_terms
-    return G, B, log_prior
+    return G, B, log_prior, log_tables
 
 
 def _stored_table(D, G, B, z) -> np.ndarray:
@@ -99,12 +100,8 @@ def gibbs_sweep_stored(
     a new assignment vector over the system's fixed class space.
     """
     z = np.array(assignments, dtype=np.int64)
-    if z.shape != (data.n_entities,):
-        raise DimensionError("assignment vector length must match entity count")
-    m = system.n_classes
-    if z.size and (z.min() < 0 or z.max() >= m):
-        raise DimensionError(f"assignment label out of range for {m} classes")
-    G, B, _ = _sweep_tables(data, system)
+    _check_assignments(data, z, system.n_classes)
+    G, B = _sweep_tables(data, system)[:2]
     _sweep_stored(z, data.neighbor_tallies, G, B, rng)
     return z
 
@@ -112,91 +109,88 @@ def gibbs_sweep_stored(
 def sample_stored_assignments(
     system: StoredSystem, n_entities: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw entity classes independently from the system's class prior."""
+    """Draw entity classes independently from the system's class prior; a
+    uniform that rounding puts past the last cumulative sum takes the last
+    class with prior mass."""
     cum = np.cumsum(system.class_probs)
     z = np.searchsorted(cum, rng.random(n_entities), side="right")
-    return np.minimum(z, system.n_classes - 1).astype(np.int64)
+    last_live = np.flatnonzero(system.class_probs > 0.0)[-1]
+    return np.minimum(z, last_live).astype(np.int64)
 
 
-def _swap_proposal(data, system, z, ll, log_prior, a: int, b: int):
-    """Exchange the entities of classes a and b wholesale.
+def _swap_moves(counts, sizes, ll, tables, a, b):
+    """Score the class swaps a[p] <-> b[p] from the stacked class-pair link
+    and non-link counts, whose rows and columns a swap permutes.
 
-    Returns the proposal, its log-likelihood and its log-joint gain over
-    ``z`` (likelihood change plus class-prior delta), or None when both
-    classes are empty.
+    Returns each swap's class permutation, log-likelihood, and log-joint gain
+    over the current state (likelihood change plus class-prior delta).
     """
-    in_a = z == a
-    in_b = z == b
-    if not (in_a.any() or in_b.any()):
-        return None
-    proposal = z.copy()
-    proposal[in_a] = b
-    proposal[in_b] = a
-    new_ll = bernoulli_loglik(data, proposal, system.link_probs)
-    prior_delta = (int(in_a.sum()) - int(in_b.sum())) * (log_prior[b] - log_prior[a])
-    return proposal, new_ll, new_ll - ll + prior_delta
+    _, _, log_prior, log_tables = tables
+    perms = np.arange(sizes.size)[None].repeat(a.size, 0)
+    rows = np.arange(a.size)
+    perms[rows, a] = b
+    perms[rows, b] = a
+    swapped = counts[:, perms[:, :, None], perms[:, None, :]]
+    new_ll = _loglik_from_counts(*swapped, log_tables)
+    prior_delta = (sizes[a] - sizes[b]) * (log_prior[b] - log_prior[a])
+    return perms, new_ll, new_ll - ll + prior_delta
 
 
-def _class_swap_move(
-    data: RelationData,
-    system: StoredSystem,
-    z: np.ndarray,
-    current_ll: float,
-    log_prior: np.ndarray,
-    live: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
+def _class_swap_move(z, counts, ll: float, tables, live, rng) -> tuple[np.ndarray, float]:
     """Metropolis move exchanging two class identities wholesale.
 
     Single-entity updates cannot cross between assignment modes that differ
     by a relabeling of classes — with sharp link probabilities every
     intermediate state is a likelihood cliff.  Swapping the entities of two
     classes in one proposal jumps the cliff directly; the acceptance ratio
-    needs only one likelihood evaluation and the class-count prior delta.
+    needs only the permuted counts and the class-count prior delta.  A swap
+    of two empty classes is no move and draws no uniform.
     """
     if live.size < 2:
-        return z, current_ll
-    pick = rng.permutation(live.size)[:2]
-    move = _swap_proposal(
-        data, system, z, current_ll, log_prior, int(live[pick[0]]), int(live[pick[1]])
-    )
-    if move is None:
-        return z, current_ll
-    proposal, new_ll, log_ratio = move
-    if log_ratio >= 0 or rng.random() < np.exp(log_ratio):
-        return proposal, new_ll
-    return z, current_ll
+        return z, ll
+    pick = live[rng.permutation(live.size)[:2]]
+    sizes = np.bincount(z, minlength=tables[2].size)
+    if not sizes[pick].any():
+        return z, ll
+    perms, new_ll, log_ratio = _swap_moves(counts, sizes, ll, tables, pick[:1], pick[1:])
+    if log_ratio[0] >= 0 or rng.random() < np.exp(log_ratio[0]):
+        return perms[0][z], float(new_ll[0])
+    return z, ll
 
 
 INIT_RESTARTS = 8
 INIT_GREEDY_SWEEPS = 6
 
 
-def _greedy_candidate(
-    data: RelationData,
-    system: StoredSystem,
-    tables,
-    live: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
+def _greedy_candidate(data, system, tables, live, rng) -> tuple[np.ndarray, float]:
     """One initialization candidate: a prior draw refined by argmax sweeps.
 
     Iterated conditional modes plus improving class swaps converge to a
     local optimum of the joint in a handful of sweeps; the caller keeps the
-    best candidate across restarts.  Returns the state and its log joint.
+    best candidate across restarts.  After each sweep the live class pairs
+    are tried in (a, b) order: every remaining swap is scored in one batch,
+    the first improving one is taken, and the scan resumes after it.
+    Returns the state and its log joint.
     """
-    G, B, log_prior = tables
+    G, B, log_prior, log_tables = tables
+    m = system.n_classes
+    pairs = live[np.array(np.triu_indices(live.size, 1))]
     z = sample_stored_assignments(system, data.n_entities, rng)
     for _ in range(INIT_GREEDY_SWEEPS):
         _sweep_stored(z, data.neighbor_tallies, G, B)
-        ll = bernoulli_loglik(data, z, system.link_probs)
-        for a_pos in range(live.size):
-            for b_pos in range(a_pos + 1, live.size):
-                move = _swap_proposal(
-                    data, system, z, ll, log_prior, int(live[a_pos]), int(live[b_pos])
-                )
-                if move is not None and move[2] > 0:
-                    z, ll = move[0], move[1]
+        counts = pair_counts(data, z, m)
+        ll = float(_loglik_from_counts(*counts, log_tables))
+        sizes = np.bincount(z, minlength=m)
+        start = 0
+        while start < pairs.shape[1]:
+            perms, new_ll, gains = _swap_moves(counts, sizes, ll, tables, *pairs[:, start:])
+            better = np.flatnonzero(gains > 0)
+            if not better.size:
+                break
+            perm = perms[better[0]]
+            z, sizes, ll = perm[z], sizes[perm], float(new_ll[better[0]])
+            counts = counts[:, perm[:, None], perm]
+            start += int(better[0]) + 1
     joint = float(ll + log_prior[z].sum())
     return z, joint
 
@@ -214,12 +208,13 @@ def run_stored_chain(
     sweep then reassigns every entity from its full conditional and attempts
     one class-swap Metropolis move, which rescues the chain from relabeled
     modes that per-entity updates cannot reach.  Retained draws record the
-    Bernoulli log-likelihood of the observed cells.  Fully determined by
-    ``schedule.seed``.
+    Bernoulli log-likelihood of the observed cells, computed from the
+    class-pair counts.  Fully determined by ``schedule.seed``.
     """
     rng = np.random.default_rng(schedule.seed)
     tables = _sweep_tables(data, system)
-    G, B, log_prior = tables
+    G, B, _, log_tables = tables
+    m = system.n_classes
     live = np.flatnonzero(system.class_probs > 0.0)
     z, best = _greedy_candidate(data, system, tables, live, rng)
     for _ in range(INIT_RESTARTS - 1):
@@ -230,15 +225,14 @@ def run_stored_chain(
     logliks: list[float] = []
     for sweep in range(schedule.total_sweeps):
         _sweep_stored(z, data.neighbor_tallies, G, B, rng)
-        ll = bernoulli_loglik(data, z, system.link_probs)
-        z, ll = _class_swap_move(data, system, z, ll, log_prior, live, rng)
+        counts = pair_counts(data, z, m)
+        ll = float(_loglik_from_counts(*counts, log_tables))
+        z, ll = _class_swap_move(z, counts, ll, tables, live, rng)
         done = sweep - schedule.burn_in + 1
         if done >= 1 and done % schedule.thinning == 0:
             retained.append(z.copy())
             logliks.append(ll)
-    return PosteriorSamples(
-        tuple(retained), np.asarray(logliks), f"stored:{system.name}"
-    )
+    return PosteriorSamples(tuple(retained), np.asarray(logliks), f"stored:{system.name}")
 
 
 def harmonic_mean_evidence(logliks) -> float:

@@ -133,10 +133,11 @@ class RelationData:
         return int(self.observed_mask.sum())
 
     @cached_property
-    def observed_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the observed cells, row-major order."""
-        r, c = np.nonzero(self.observed_mask)
-        return r, c, self.cells[r, c].astype(np.int64)
+    def observed_link_matrices(self) -> np.ndarray:
+        """(2, n, n) float array: 1 at each observed link in matrix 0 and at
+        each observed non-link in matrix 1, diagonal included."""
+        obs = self.observed_mask
+        return np.stack([obs & (self.cells == 1), obs & (self.cells == 0)]).astype(np.float64)
 
     @cached_property
     def neighbor_tallies(self) -> np.ndarray:
@@ -309,18 +310,16 @@ class PosteriorSamples:
 def pair_counts(data: RelationData, assignments, n_classes: int):
     """Observed link/non-link counts for every ordered class pair.
 
-    Returns ``(ones, zeros)`` — two n_classes x n_classes float arrays where
-    entry (a, b) counts observed cells from class-a rows to class-b columns.
-    Every entry is a sum of small integers, so the matmuls are exact.
+    Returns ``(ones, zeros)`` stacked in one 2 x n_classes x n_classes float
+    array, where entry (a, b) counts observed cells from class-a rows to
+    class-b columns.  Every entry is a sum of small integers, so the matmuls
+    are exact.
     """
     z = _as_assignments(assignments)
     _check_assignments(data, z, n_classes)
     onehot = np.zeros((z.size, n_classes))
     onehot[np.arange(z.size), z] = 1.0
-    D, S = data.neighbor_tallies, data.self_tallies
-    ones = onehot.T @ D[:, :, 2] @ onehot + np.diag(onehot.T @ S[:, 0])
-    total = onehot.T @ D[:, :, 3] @ onehot + np.diag(onehot.T @ S.sum(axis=1))
-    return ones, total - ones
+    return onehot.T @ data.observed_link_matrices @ onehot
 
 
 def _check_assignments(data: RelationData, z: np.ndarray, n_classes: int):
@@ -344,13 +343,21 @@ def bernoulli_loglik(data: RelationData, assignments, link_probs) -> float:
     link = np.asarray(link_probs, dtype=np.float64)
     if link.ndim != 2 or link.shape[0] != link.shape[1]:
         raise DimensionError(f"link_probs must be square, got {link.shape}")
-    z = _as_assignments(assignments)
-    _check_assignments(data, z, link.shape[0])
-    rows, cols, vals = data.observed_triples
-    if rows.size == 0:
-        return 0.0
-    p = clamp_probs(link[z[rows], z[cols]])
-    return float(np.sum(np.where(vals == 1, np.log(p), np.log1p(-p))))
+    ones, zeros = pair_counts(data, assignments, link.shape[0])
+    return float(_loglik_from_counts(ones, zeros, _log_tables(link)))
+
+
+def _log_tables(link_probs) -> tuple[np.ndarray, np.ndarray]:
+    """(log p, log(1 - p)) of the clamped link probabilities."""
+    p = clamp_probs(link_probs)
+    return np.log(p), np.log1p(-p)
+
+
+def _loglik_from_counts(ones, zeros, log_tables):
+    """bernoulli_loglik from class-pair link and non-link counts.  Leading
+    batch axes are kept; each m x m sum runs in the same order as unbatched."""
+    log_link, log_nolink = log_tables
+    return (ones * log_link + zeros * log_nolink).sum(axis=(-2, -1))
 
 
 def collapsed_loglik(data: RelationData, partition, alpha: float) -> float:

@@ -75,9 +75,7 @@ class _ChainState:
             raise DimensionError("partition size does not match entity count")
         self.z = np.array(partition.assignments)
         self.counts: list[int] = [int(c) for c in partition.counts]
-        ones, zeros = pair_counts(data, self.z, len(self.counts))
-        self.ones = ones
-        self.zeros = zeros
+        self.ones, self.zeros = pair_counts(data, self.z, len(self.counts))
 
     @property
     def n_classes(self) -> int:

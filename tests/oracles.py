@@ -121,6 +121,40 @@ def stored_log_joint(data, system, labels) -> float:
     return logp
 
 
+def clamped_loglik(data, link_probs, labels) -> float:
+    """Log-likelihood of the observed cells, cell by cell, with the link
+    probabilities clamped to [1e-6, 1 - 1e-6] as the package clamps them."""
+    z = [int(v) for v in labels]
+    logp = 0.0
+    for i in range(data.n_entities):
+        for j in range(data.n_entities):
+            if data.observed_mask[i, j]:
+                eta = min(max(float(link_probs[z[i], z[j]]), 1e-6), 1 - 1e-6)
+                logp += math.log(eta) if data.cells[i, j] == 1 else math.log1p(-eta)
+    return logp
+
+
+def greedy_swap_reference(data, system, labels):
+    """One pass of improving class swaps, the nested-loop way.
+
+    Live class pairs are tried in (a, b) order with a < b; a pair whose
+    classes are both empty is skipped, and a swap is kept when it raises the
+    log joint.  Returns the final state and its log joint.
+    """
+    z = np.array(labels, dtype=np.int64)
+    live = [c for c, prior in enumerate(system.class_probs.tolist()) if prior > 0.0]
+    joint = stored_log_joint(data, system, z)
+    for a_pos, a in enumerate(live):
+        for b in live[a_pos + 1:]:
+            if not ((z == a).any() or (z == b).any()):
+                continue
+            proposal = np.where(z == a, b, np.where(z == b, a, z))
+            new_joint = stored_log_joint(data, system, proposal)
+            if new_joint > joint:
+                z, joint = proposal, new_joint
+    return z, joint
+
+
 def exact_stored_enumeration(data, system):
     """(assignment -> posterior prob, log evidence) over all m^n labelings."""
     m = system.link_probs.shape[0]

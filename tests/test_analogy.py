@@ -21,14 +21,23 @@ from relgen import (
     sample_stored_assignments,
     stored_component_predictions,
 )
-from relgen.analogy import _move_entity, _stored_table, _sweep_stored, _sweep_tables
+from relgen.analogy import (
+    INIT_GREEDY_SWEEPS,
+    _greedy_candidate,
+    _move_entity,
+    _stored_table,
+    _sweep_stored,
+    _sweep_tables,
+)
 from relgen.datagen import generate_synthetic_system, make_split, simulate_interactions
 from relgen.datagen import SplitSpec
 from relgen.irm import _sample_logweights
 
 from oracles import (
+    clamped_loglik,
     exact_stored_enumeration,
     exact_stored_predictive,
+    greedy_swap_reference,
     stored_conditional,
     stored_sweep_reference,
 )
@@ -46,6 +55,21 @@ def gap_system():
     return StoredSystem("gap", link, np.array([0.5, 0.0, 0.5]))
 
 
+def edge_system():
+    # exact 0 and 1 link probabilities between live classes
+    link = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.3], [0.2, 0.9, 0.0]])
+    return StoredSystem("edge", link, np.array([0.3, 0.3, 0.4]))
+
+
+def random_gap_system(rng, m):
+    # Dirichlet class prior with some classes zeroed; at least one stays live
+    probs = rng.dirichlet(np.ones(m))
+    probs[rng.random(m) < 0.3] = 0.0
+    if not probs.any():
+        probs[rng.integers(m)] = 1.0
+    return StoredSystem("random", rng.uniform(0.05, 0.95, (m, m)), probs / probs.sum())
+
+
 def self_cell_data(rng, n):
     # diagonal cells cycle through observed 0, observed 1 and unobserved
     cells = rng.integers(0, 2, size=(n, n)).astype(np.int8)
@@ -60,7 +84,7 @@ def check_table_tracks_oracle(data, system, z, seed, sweeps):
     """Step the kernel's table through Gibbs sweeps, comparing every row
     with the slow conditional after each entity update; returns the moves."""
     D = data.neighbor_tallies
-    G, B, _ = _sweep_tables(data, system)
+    G, B = _sweep_tables(data, system)[:2]
     n = data.n_entities
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     moves = 0
@@ -106,7 +130,7 @@ def test_sweep_table_empty_observed_set_and_single_entity():
         log_prior = np.log(system.class_probs)
     empty = RelationData(6, np.ones((6, 6), dtype=np.int8), np.zeros((6, 6), dtype=bool))
     z = np.array([0, 2, 0, 2, 2, 0])
-    G, B, _ = _sweep_tables(empty, system)
+    G, B = _sweep_tables(empty, system)[:2]
     assert_array_equal(_stored_table(empty.neighbor_tallies, G, B, z),
                        np.tile(log_prior, (6, 1)))
     check_table_tracks_oracle(empty, system, z, seed=22, sweeps=2)
@@ -133,7 +157,7 @@ def test_argmax_sweep_takes_first_maximum():
         want = z.copy()
         for i in range(30):
             want[i] = np.argmax(stored_conditional(data, system, want, i))
-        G, B, _ = _sweep_tables(data, system)
+        G, B = _sweep_tables(data, system)[:2]
         _sweep_stored(z, data.neighbor_tallies, G, B)
         assert_array_equal(z, want)
     assert not want.any()  # all-equal conditionals pick class 0
@@ -144,6 +168,41 @@ def test_draw_never_returns_zero_weight_index():
     # last index with positive weight, not the zero-prior last class
     assert _sample_logweights([0.0, 0.0, -np.inf], 1.0) == 1
     assert _sample_logweights([0.0, 0.0, -np.inf], 0.0) == 0
+
+
+def test_greedy_candidate_matches_nested_swap_scan():
+    # the batched scan must take the same swaps, in the same order, as the
+    # nested loop over live class pairs scored by the full log joint
+    rng = np.random.default_rng(31)
+    swapped = empty = zero_prior = 0
+    for trial in range(60):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+        system = random_gap_system(rng, m)
+        data = self_cell_data(rng, n)
+        live = np.flatnonzero(system.class_probs > 0.0)
+        tables = _sweep_tables(data, system)
+        seeded = np.random.default_rng(trial)
+        got, joint = _greedy_candidate(data, system, tables, live, seeded)
+        want = sample_stored_assignments(system, n, np.random.default_rng(trial))
+        for _ in range(INIT_GREEDY_SWEEPS):
+            for i in range(n):
+                want[i] = np.argmax(stored_conditional(data, system, want, i))
+            empty += np.bincount(want, minlength=m)[live].min() == 0
+            before = want.copy()
+            want, want_joint = greedy_swap_reference(data, system, want)
+            swapped += not np.array_equal(before, want)
+        zero_prior += live.size < m
+        assert_array_equal(got, want)
+        assert_allclose(joint, want_joint, rtol=1e-12)
+    assert swapped and empty and zero_prior
+
+
+@pytest.mark.parametrize("system", [two_class_system(), gap_system(), edge_system()])
+def test_retained_logliks_match_cell_loop(system):
+    data = self_cell_data(np.random.default_rng(27), 12)
+    samples = run_stored_chain(data, system, McmcSchedule(20, 40, 2, seed=28))
+    want = [clamped_loglik(data, system.link_probs, z) for z in samples.partitions]
+    assert_allclose(samples.logliks, want, rtol=1e-12)
 
 
 def test_stored_chain_matches_enumerated_posterior():
@@ -203,6 +262,26 @@ def test_sample_stored_assignments_respects_prior():
     assert not np.any(draws == 1)  # zero-probability class is never used
     rate = float(np.mean(draws == 0))
     assert abs(rate - 0.7) < 4 * np.sqrt(0.7 * 0.3 / draws.size)
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def test_sample_stored_assignments_never_overflows_to_zero_prior():
+    # the class prior sums to 0.9999999999999999, so the largest uniform
+    # below 1 lands past every cumulative sum
+    system = StoredSystem("tail", np.full((11, 11), 0.5), np.array([0.1] * 10 + [0.0]))
+    assert np.cumsum(system.class_probs)[-1] < 1.0
+    top = FixedUniforms(np.nextafter(1.0, 0.0))
+    assert sample_stored_assignments(system, 3, top).tolist() == [9, 9, 9]
+    assert sample_stored_assignments(system, 2, FixedUniforms(0.0)).tolist() == [0, 0]
 
 
 def test_harmonic_mean_constant_case_is_exact():
