@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -66,119 +67,147 @@ class McmcSchedule:
 
 
 class _ChainState:
-    """Working partition plus per-class-pair observed link/non-link counts."""
+    """Working partition plus per-class-pair observed link/non-link counts.
 
-    __slots__ = ("z", "counts", "ones", "zeros")
+    ``counts`` is the stacked (2, k+1, k+1) link/non-link table; its last row
+    and column are an always-empty fresh class, so a birth is one pad.
+    ``log_seats`` is log [class sizes..., gamma].  ``onehot`` has a column
+    for every class the chain can open and, last, a row of ones that gathers
+    each entity's self-cell into every class.
+    """
+
+    __slots__ = ("z", "sizes", "log_seats", "counts", "onehot", "tallies")
 
     def __init__(self, data: RelationData, partition: Partition):
         if partition.n_entities != data.n_entities:
             raise DimensionError("partition size does not match entity count")
-        self.z = np.array(partition.assignments)
-        self.counts: list[int] = [int(c) for c in partition.counts]
-        self.ones, self.zeros = pair_counts(data, self.z, len(self.counts))
+        n, k = partition.n_entities, partition.n_classes
+        self.z: list[int] = partition.assignments.tolist()
+        self.sizes: list[int] = partition.counts.tolist()
+        self.log_seats = np.log(np.append(partition.counts, 1.0))
+        self.counts = np.zeros((2, k + 1, k + 1))
+        self.counts[:, :k, :k] = pair_counts(data, partition.assignments, k)
+        self.onehot = np.zeros((n + 1, n + 1))
+        self.onehot[np.arange(n), partition.assignments] = 1.0
+        self.onehot[n] = 1.0
+        # tallies[i] @ onehot gives, per class, entity i's observed row,
+        # column and joint (row + column + self-cell) links, then the same
+        # for non-links
+        D = data.neighbor_tallies.transpose(1, 2, 0)
+        self.tallies = np.zeros((n, 6, n + 1))
+        self.tallies[:, 0:2, :n] = D[:, 0::2]
+        self.tallies[:, 3:5, :n] = D[:, 1::2] - D[:, 0::2]
+        self.tallies[:, 2::3, n] = data.self_tallies
+        self.tallies[:, 2::3] += self.tallies[:, 0::3] + self.tallies[:, 1::3]
 
     @property
-    def n_classes(self) -> int:
-        return len(self.counts)
+    def class_counts(self) -> np.ndarray:
+        return self.counts[:, :-1, :-1]
 
     def to_partition(self) -> Partition:
         return Partition.from_assignments(canonical_labels(self.z))
 
 
-def _entity_tallies(state: _ChainState, data: RelationData, i: int) -> tuple:
-    """Entity i's observed cells bucketed by the current classes of neighbors.
+@lru_cache(maxsize=16)
+def _kernel_layout(slots: int) -> tuple:
+    """Index arrays of the sweep kernel for k = slots - 1 classes plus the
+    fresh one.
 
-    Column i of the neighbour tallies is zero at row i, so the entity's own
-    label adds nothing; its self-cell comes from the self tallies.
+    The kernel takes one ``betaln`` over a (2, 3k^2 + k + 2) argument array.
+    Each entry is alpha plus a class-pair count, picked from the flat counts
+    by ``gather``, plus one of the detached entity's tallies, picked by
+    ``spread`` (the fresh slot's row tally is always 0).  The entries, for
+    classes a and b:
+
+    - base (a, b): the block's counts;
+    - row (a, b): the counts plus row tally b, or the joint tally on the
+      diagonal (the entity placed in a);
+    - col (a, b), a != b: block (b, a)'s counts plus column tally b;
+    - fresh: each row tally, each column tally, the self-cell, an empty block.
+
+    Row c of ``order`` lists candidate c's entries, added ones first, then
+    the ones it takes away (base (c, .) and (., c), or 2k + 1 empty blocks),
+    each half padded with the empty block; so ``values[order] @ signs`` is
+    every candidate's collapsed log-likelihood change.
     """
-    k = state.n_classes
-    D = data.neighbor_tallies
-    r1, rt, c1, ct = (
-        np.bincount(state.z, weights=D[:, i, c], minlength=k) for c in range(4)
+    k = slots - 1
+    kk = k * k
+    a, b = np.divmod(np.arange(kk), k)
+    off = np.flatnonzero(a != b)
+    classes = np.arange(k)
+    col_tally, joint_tally = slots, 2 * slots
+    gather = np.r_[
+        a * slots + b, a * slots + b, b[off] * slots + a[off], [k * slots + k] * (2 * k + 2)
+    ]
+    spread = np.r_[
+        np.full(kk, k), np.where(a == b, joint_tally + a, b), col_tally + b[off],
+        classes, col_tally + classes, joint_tally + k, k,
+    ]
+    half = 2 * k + 1
+    row0, col0, fresh0 = kk, 2 * kk, 3 * kk - k
+    order = np.full((slots, 2 * half), fresh0 + half)
+    for c in range(k):
+        order[c, :half - 2] = np.r_[row0 + c * k + classes, col0 + c * (k - 1) + classes[:-1]]
+        order[c, half:-2] = np.r_[c * k + classes, np.delete(classes, c) * k + c]
+    order[k, :half] = fresh0 + np.arange(half)
+    layout = (
+        np.stack([gather, gather + slots * slots]),
+        np.stack([spread, spread + 3 * slots]),
+        order,
+        np.repeat([1.0, -1.0], half),
     )
-    sv1, sv0 = data.self_tallies[i].tolist()
-    return r1, rt - r1, c1, ct - c1, sv1, sv0
+    for shared in layout:
+        shared.setflags(write=False)
+    return layout
 
 
-def _detach(state: _ChainState, i: int, tallies) -> tuple:
-    """Remove entity i from the state; returns tallies in post-removal labels."""
-    r1, r0, c1, c0, sv1, sv0 = tallies
-    old = int(state.z[i])
-    state.ones[old, :] -= r1
-    state.zeros[old, :] -= r0
-    state.ones[:, old] -= c1
-    state.zeros[:, old] -= c0
-    state.ones[old, old] -= sv1
-    state.zeros[old, old] -= sv0
-    state.counts[old] -= 1
-    state.z[i] = -1
-    if state.counts[old] == 0:
-        # no remaining member, so no neighbor tally can point at this class
-        del state.counts[old]
-        state.ones = np.delete(np.delete(state.ones, old, axis=0), old, axis=1)
-        state.zeros = np.delete(np.delete(state.zeros, old, axis=0), old, axis=1)
-        state.z[state.z > old] -= 1
-        r1 = np.delete(r1, old)
-        r0 = np.delete(r0, old)
-        c1 = np.delete(c1, old)
-        c0 = np.delete(c0, old)
-    return r1, r0, c1, c0, sv1, sv0
+def _detach(state: _ChainState, i: int) -> np.ndarray:
+    """Remove entity i from the state.  Returns its (6, slots) tallies:
+    rows are row, column and joint links, then row, column and joint
+    non-links; columns are the classes left and the fresh slot, whose joint
+    tallies are the self-cell alone."""
+    old = state.z[i]
+    state.sizes[old] -= 1
+    state.onehot[i, old] = 0.0
+    closed = not state.sizes[old]
+    if closed:
+        # the class's row and column hold only the entity's own cells
+        slots = state.counts.shape[1]
+        state.counts = np.delete(np.delete(state.counts, old, 1), old, 2)
+        state.log_seats = np.delete(state.log_seats, old)
+        del state.sizes[old]
+        state.onehot[:, old:slots - 1] = state.onehot[:, old + 1:slots]
+        state.z = [c - (c > old) for c in state.z]
+    tallies = state.tallies[i].dot(state.onehot[:, :state.counts.shape[1]])
+    if not closed:
+        # updated through named views: `counts[:, old] -= x` would also
+        # write each view back into the counts, at a cost per entity
+        row = state.counts[:, old]
+        row -= tallies[0::3]
+        col = state.counts[:, :, old]
+        col -= tallies[1::3]
+        cell = state.counts[:, old, old]
+        cell -= tallies[2::3, -1]
+        state.log_seats[old] = math.log(state.sizes[old])
+    return tallies
 
 
-def _candidate_logliks(state: _ChainState, alpha: float, tallies) -> np.ndarray:
-    """Collapsed log-likelihood change from placing the detached entity in
-    each existing class, plus a fresh class (last entry).
-
-    Placing the entity in class a adds its row tallies to blocks (a, b), its
-    column tallies to blocks (b, a), and row+column+self jointly to (a, a);
-    only those blocks' Beta terms move.
-    """
-    r1, r0, c1, c0, sv1, sv0 = tallies
-    k = state.n_classes
-    a1 = alpha + state.ones
-    a0 = alpha + state.zeros
-    base = betaln(a1, a0)
-    row = (betaln(a1 + r1[None, :], a0 + r0[None, :]) - base).sum(axis=1)
-    col = (betaln(a1 + c1[:, None], a0 + c0[:, None]) - base).sum(axis=0)
-    d1 = np.diagonal(a1)
-    d0 = np.diagonal(a0)
-    dbase = betaln(d1, d0)
-    joint = betaln(d1 + r1 + c1 + sv1, d0 + r0 + c0 + sv0) - dbase
-    row_diag = betaln(d1 + r1, d0 + r0) - dbase
-    col_diag = betaln(d1 + c1, d0 + c0) - dbase
-    existing = row + col - row_diag - col_diag + joint
-
-    base0 = betaln(alpha, alpha)
-    fresh = (
-        (betaln(alpha + r1, alpha + r0) - base0).sum()
-        + (betaln(alpha + c1, alpha + c0) - base0).sum()
-        + betaln(alpha + sv1, alpha + sv0)
-        - base0
-    )
-    out = np.empty(k + 1)
-    out[:k] = existing
-    out[k] = fresh
-    return out
-
-
-def _attach(state: _ChainState, i: int, choice: int, tallies):
-    r1, r0, c1, c0, sv1, sv0 = tallies
-    k = state.n_classes
-    if choice == k:
-        state.ones = np.pad(state.ones, ((0, 1), (0, 1)))
-        state.zeros = np.pad(state.zeros, ((0, 1), (0, 1)))
-        state.counts.append(0)
-        r1 = np.append(r1, 0.0)
-        r0 = np.append(r0, 0.0)
-        c1 = np.append(c1, 0.0)
-        c0 = np.append(c0, 0.0)
-    state.ones[choice, :] += r1
-    state.zeros[choice, :] += r0
-    state.ones[:, choice] += c1
-    state.zeros[:, choice] += c0
-    state.ones[choice, choice] += sv1
-    state.zeros[choice, choice] += sv0
-    state.counts[choice] += 1
+def _attach(state: _ChainState, i: int, choice: int, tallies: np.ndarray) -> None:
+    slots = tallies.shape[1]
+    if choice == slots - 1:
+        # the fresh slot becomes a class; open a new one behind it
+        state.counts = np.pad(state.counts, ((0, 0), (0, 1), (0, 1)))
+        state.log_seats = np.append(state.log_seats, 0.0)
+        state.sizes.append(0)
+    row = state.counts[:, choice, :slots]
+    row += tallies[0::3]
+    col = state.counts[:, :slots, choice]
+    col += tallies[1::3]
+    cell = state.counts[:, choice, choice]
+    cell += tallies[2::3, -1]
+    state.sizes[choice] += 1
+    state.log_seats[choice] = math.log(state.sizes[choice])
+    state.onehot[i, choice] = 1.0
     state.z[i] = choice
 
 
@@ -197,20 +226,26 @@ def _sample_logweights(logw: list, u: float) -> int:
     return max(k for k, w in enumerate(weights) if w > 0.0)
 
 
-def _detached_logweights(state: _ChainState, data: RelationData, i: int, hp):
-    """Detach entity i; return its conditional log-weights and its tallies."""
-    tallies = _detach(state, i, _entity_tallies(state, data, i))
-    logw = _candidate_logliks(state, hp.alpha, tallies)
-    logw += np.log(np.append(np.asarray(state.counts, dtype=np.float64), hp.gamma))
-    return logw, tallies
+def _detached_logweights(state: _ChainState, i: int, hp: Hyperparameters):
+    """Detach entity i; return its conditional log-weights and its tallies.
+
+    Every candidate's Beta arguments go through one ``betaln`` call, and one
+    gather and one dot fold them into the collapsed log-likelihood changes.
+    """
+    tallies = _detach(state, i)
+    gather, spread, order, signs = _kernel_layout(tallies.shape[1])
+    args = (state.counts + hp.alpha).take(gather)
+    args += tallies.take(spread)
+    state.log_seats[-1] = math.log(hp.gamma)
+    return betaln(*args).take(order).dot(signs) + state.log_seats, tallies
 
 
-def _sweep(state: _ChainState, data: RelationData, hp: Hyperparameters, rng) -> None:
+def _sweep(state: _ChainState, hp: Hyperparameters, rng) -> None:
     """Reassign every entity in index order from its collapsed conditional."""
-    uniforms = rng.random(data.n_entities).tolist()
-    for i in range(data.n_entities):
-        logw, tallies = _detached_logweights(state, data, i, hp)
-        _attach(state, i, _sample_logweights(logw.tolist(), uniforms[i]), tallies)
+    uniforms = rng.random(len(state.z)).tolist()
+    for i, u in enumerate(uniforms):
+        logw, tallies = _detached_logweights(state, i, hp)
+        _attach(state, i, _sample_logweights(logw.tolist(), u), tallies)
 
 
 def conditional_class_logweights(
@@ -226,7 +261,7 @@ def conditional_class_logweights(
             f"entity {entity} out of range for {data.n_entities} entities"
         )
     state = _ChainState(data, partition)
-    return _detached_logweights(state, data, entity, hp)[0]
+    return _detached_logweights(state, entity, hp)[0]
 
 
 def gibbs_sweep(
@@ -237,7 +272,7 @@ def gibbs_sweep(
 ) -> Partition:
     """One systematic-scan sweep reassigning every entity in index order."""
     state = _ChainState(data, partition)
-    _sweep(state, data, hp, rng)
+    _sweep(state, hp, rng)
     return state.to_partition()
 
 
@@ -333,14 +368,14 @@ def run_irm_chain(
     alphas: list[float] = []
     done = 0
     for sweep in range(schedule.total_sweeps):
-        _sweep(state, data, hp, rng)
+        _sweep(state, hp, rng)
         if sample_hyperparams:
-            hp = _alpha_step(state.ones, state.zeros, hp, rng, MH_PROPOSAL_SCALE)
-            hp = _gamma_step(state.counts, hp, rng, MH_PROPOSAL_SCALE)
+            hp = _alpha_step(*state.class_counts, hp, rng, MH_PROPOSAL_SCALE)
+            hp = _gamma_step(state.sizes, hp, rng, MH_PROPOSAL_SCALE)
         done = sweep - schedule.burn_in + 1
         if done >= 1 and done % schedule.thinning == 0:
             retained.append(canonical_labels(state.z))
-            logliks.append(_collapsed_from_counts(state.ones, state.zeros, hp.alpha))
+            logliks.append(_collapsed_from_counts(*state.class_counts, hp.alpha))
             alphas.append(hp.alpha)
     return PosteriorSamples(
         tuple(retained), np.asarray(logliks), "irm", np.asarray(alphas)

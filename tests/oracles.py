@@ -71,6 +71,26 @@ def marginal_loglik(data, labels, alpha: float) -> float:
     return float(total)
 
 
+def irm_conditional_reference(data, labels, entity: int, alpha: float, gamma: float):
+    """Log-weights of the entity's collapsed conditional, one candidate at a time.
+
+    The candidates are the classes of the other entities, in label order,
+    then a fresh class; the entity's own label is ignored.  Each weight is
+    the collapsed log-likelihood of the labeling with the entity in that
+    class plus its CRP seating: the log of the class's other members, or of
+    gamma for the fresh class.
+    """
+    others = [int(v) for i, v in enumerate(labels) if i != entity]
+    left = sorted(set(others))
+    z = [left.index(int(v)) if i != entity else 0 for i, v in enumerate(labels)]
+    out = []
+    for c in range(len(left) + 1):
+        z[entity] = c
+        seats = others.count(left[c]) if c < len(left) else gamma
+        out.append(marginal_loglik(data, z, alpha) + math.log(seats))
+    return np.asarray(out)
+
+
 def exact_irm_partition_posterior(data, alpha: float, gamma: float) -> dict:
     """Posterior over all partitions by brute-force enumeration."""
     parts = set_partitions(data.n_entities)

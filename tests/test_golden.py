@@ -4,26 +4,35 @@
 tiny grid in ``test_cli.tiny_config`` under each tau mode, the `relgen
 summarize` output of the per-cell one, and the predictions (plus the
 evidence report, for the pool models) of `relgen infer` for every model on
-one small dataset.  A change that alters any of these bytes on purpose
-regenerates the files with
+one small dataset.  ``irm-chain.json`` holds the retained draws, alphas and
+log-likelihoods of three theory chains, which must match exactly.  A change
+that alters any of these bytes on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and says in CHANGES.md why they changed.
 """
 
+import json
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relgen import (
+    McmcSchedule,
+    SplitSpec,
     emit_results_csv,
     emit_summary_csv,
+    generate_synthetic_system,
     main,
+    make_split,
     parse_results_csv,
     run_experiment,
+    run_irm_chain,
+    simulate_interactions,
     summarize,
 )
 
@@ -32,6 +41,9 @@ from test_cli import tiny_config
 GOLDEN = Path(__file__).parent / "golden"
 TAU_MODES = ("per-cell", "global", "validation-split")
 INFER_MODELS = ("irm", "analogy", "hybrid")
+# (entities, observed fraction, seed): the sparse 20-entity split's chain
+# opens and closes classes throughout its retained draws
+IRM_CHAINS = ((30, 0.3, 2), (12, 0.9, 4), (20, 0.1, 6))
 
 
 def results_csv(tau_mode: str) -> str:
@@ -69,6 +81,30 @@ def infer_outputs(workdir: Path) -> dict[str, str]:
     return outputs
 
 
+def irm_chain_records() -> list[dict]:
+    """Retained draws, alphas and log-likelihoods of one theory chain per
+    split in ``IRM_CHAINS``; floats as ``float.hex`` so equality is exact."""
+    records = []
+    for n, fraction, seed in IRM_CHAINS:
+        rng = np.random.default_rng(seed - 1)
+        system = generate_synthetic_system(
+            rng, name="golden", class_range=(2, 5), probe_entities=n
+        )
+        full, _ = simulate_interactions(system, n, rng)
+        data = make_split(full, SplitSpec(observed_fraction=fraction, seed=seed))
+        schedule = McmcSchedule(burn_in=30, n_retained=15, thinning=2, seed=seed)
+        samples = run_irm_chain(data, schedule)
+        records.append({
+            "entities": n,
+            "observed_fraction": fraction,
+            "seed": seed,
+            "draws": [z.tolist() for z in samples.partitions],
+            "alphas": [float(a).hex() for a in samples.alphas],
+            "logliks": [float(v).hex() for v in samples.logliks],
+        })
+    return records
+
+
 def _golden(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="utf-8")
 
@@ -92,6 +128,14 @@ def test_infer_outputs_match_golden(tmp_path):
         assert text == _golden(name), name
 
 
+def test_irm_chains_match_golden():
+    records = irm_chain_records()
+    assert records == json.loads(_golden("irm-chain.json"))
+    class_counts = [max(z) + 1 for z in records[2]["draws"]]
+    assert any(a < b for a, b in zip(class_counts, class_counts[1:]))
+    assert any(a > b for a, b in zip(class_counts, class_counts[1:]))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.glob("*.csv"):
@@ -101,7 +145,10 @@ if __name__ == "__main__":
     (GOLDEN / "summary-per-cell.csv").write_text(
         summary_csv(_golden("results-per-cell.csv")), encoding="utf-8"
     )
+    (GOLDEN / "irm-chain.json").write_text(
+        json.dumps(irm_chain_records(), indent=1) + "\n", encoding="utf-8"
+    )
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in infer_outputs(Path(tmp)).items():
             (GOLDEN / name).write_text(text, encoding="utf-8")
-    print(f"wrote {len(list(GOLDEN.glob('*.csv')))} golden files to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(list(GOLDEN.glob('*.*')))} golden files to {GOLDEN}", file=sys.stderr)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 from scipy.stats import kstest
 
+import relgen.irm as irm
 from relgen import (
     ConfigError,
     DimensionError,
@@ -26,6 +27,7 @@ from oracles import (
     crp_log_prob_sequential,
     exact_irm_partition_posterior,
     exact_irm_predictive,
+    irm_conditional_reference,
     marginal_loglik,
     total_variation,
     truncated_exp_cdf,
@@ -138,6 +140,80 @@ def test_conditional_self_cell_matches_joint_enumeration(cell, observed):
         data = RelationData(n, cells, mask)
         part = Partition.from_assignments(rng.integers(0, 3, size=n))
         assert_conditional_matches_joint(data, part, entity, hp)
+
+
+def assert_sweep_matches_reference(monkeypatch, data, partition, hp, seed=0):
+    """Run gibbs_sweep recording every conditional it draws from, then replay
+    the sweep and check each one against the per-candidate oracle.  Returns
+    the sweep's result and how many classes it opened and closed."""
+    seen = []
+    draw = irm._sample_logweights
+
+    def record(logw, u):
+        seen.append((logw, draw(logw, u)))
+        return seen[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(irm, "_sample_logweights", record)
+        out = gibbs_sweep(data, partition, hp, np.random.default_rng(seed))
+    assert len(seen) == data.n_entities
+    z = partition.assignments.tolist()
+    opened = closed = 0
+    for i, (logw, choice) in enumerate(seen):
+        if z[i] not in z[:i] + z[i + 1:]:
+            closed += 1
+            z = [v - (v > z[i]) for v in z]
+        ref = irm_conditional_reference(data, z, i, hp.alpha, hp.gamma)
+        assert_allclose(
+            np.subtract(logw, logsumexp(logw)), ref - logsumexp(ref),
+            rtol=1e-10, atol=1e-10,
+        )
+        opened += choice == len(ref) - 1
+        z[i] = choice
+    assert Partition.from_assignments(z).key() == out.key()
+    return out, opened, closed
+
+
+def test_every_sweep_conditional_matches_reference(monkeypatch):
+    # not just a freshly built state: every update of a chain of sweeps,
+    # through class births and deaths, against the slow oracle
+    rng = np.random.default_rng(8)
+    opened = closed = 0
+    for start, gamma in (([0] * 7, 3.0), (list(range(7)), 0.5), ([0, 1] * 3 + [2], 1.0)):
+        data = random_data(rng, 7)
+        part = Partition.from_assignments(start)
+        for sweep in range(4):
+            hp = Hyperparameters(alpha=float(rng.uniform(0.2, 3.0)), gamma=gamma)
+            part, o, c = assert_sweep_matches_reference(monkeypatch, data, part, hp, sweep)
+            opened, closed = opened + o, closed + c
+    assert opened > 0 and closed > 0
+
+
+def test_sweep_conditionals_on_empty_observed_set(monkeypatch):
+    n = 6
+    data = RelationData(n, np.ones((n, n), np.int8), np.zeros((n, n), bool))
+    part = Partition.from_assignments([0, 1, 0, 2, 1, 3])
+    for seed in range(3):
+        part = assert_sweep_matches_reference(
+            monkeypatch, data, part, Hyperparameters(alpha=0.7, gamma=1.6), seed
+        )[0]
+
+
+@pytest.mark.parametrize("cell, observed", [(1, True), (0, True), (1, False)])
+def test_sweep_conditionals_with_self_cells(monkeypatch, cell, observed):
+    hp = Hyperparameters(alpha=0.6, gamma=1.3)
+    alone = RelationData(1, [[cell]], [[observed]])
+    assert_sweep_matches_reference(monkeypatch, alone, Partition.from_assignments([0]), hp)
+    rng = np.random.default_rng(23)
+    base = random_data(rng, 6)
+    cells = base.cells.copy()
+    mask = base.observed_mask.copy()
+    np.fill_diagonal(cells, cell)
+    np.fill_diagonal(mask, observed)
+    data = RelationData(6, cells, mask)
+    part = Partition.from_assignments(rng.integers(0, 3, size=6))
+    for seed in range(3):
+        part = assert_sweep_matches_reference(monkeypatch, data, part, hp, seed)[0]
 
 
 def test_single_entity_kernel_detailed_balance():
