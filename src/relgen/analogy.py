@@ -22,7 +22,7 @@ from .core import (
     PosteriorSamples,
     RelationData,
     StoredSystem,
-    _cell_indices,
+    _as_assignments,
     _check_assignments,
     _log_tables,
     _loglik_from_counts,
@@ -33,21 +33,27 @@ from .irm import McmcSchedule, _sample_logweights
 
 
 def _sweep_tables(data: RelationData, system: StoredSystem):
-    """(G, B, log class prior, log link tables) of the chain for one dataset.
+    """(D, G, B, log class prior, log link tables) of the chain for one dataset.
 
-    ``G[:, b]`` (4 x m) turns one neighbour's (r1, rt, c1, ct) tally row, for
-    a neighbour in class b, into log-weights over the m classes.  ``B``
-    (n x m) holds each entity's log prior plus its self-cell term;
-    zero-prior classes stay at -inf.
+    ``D[i, j]`` (n x n x 4) is the (r1, rt, c1, ct) tally row that entity i
+    adds to entity j: j's out-cell (j, i) as a link and as observed, then
+    j's in-cell (i, j) likewise; the diagonal is zero.  ``G[:, b]`` (4 x m)
+    turns one such row, for a neighbour in class b, into log-weights over
+    the m classes.  ``B`` (n x m) holds each entity's log prior plus its
+    self-cell term; zero-prior classes stay at -inf.
     """
+    observed = data.observed_link_matrices
+    links, nolinks = observed * ~np.eye(data.n_entities, dtype=bool)
+    seen = links + nolinks
+    D = np.stack([links.T, seen.T, links, seen], axis=-1)
     log_link, log_nolink = log_tables = _log_tables(system.link_probs)
     with np.errstate(divide="ignore"):
         log_prior = np.log(system.class_probs)
     diff = log_link - log_nolink
     G = np.stack([diff.T, log_nolink.T, diff, log_nolink])
     self_terms = np.stack([np.diagonal(log_link), np.diagonal(log_nolink)])
-    B = log_prior + data.self_tallies @ self_terms
-    return G, B, log_prior, log_tables
+    B = log_prior + np.diagonal(observed, axis1=1, axis2=2).T @ self_terms
+    return D, G, B, log_prior, log_tables
 
 
 def _stored_table(D, G, B, z) -> np.ndarray:
@@ -99,10 +105,9 @@ def gibbs_sweep_stored(
     observed cells; classes with zero prior mass are never assigned.  Returns
     a new assignment vector over the system's fixed class space.
     """
-    z = np.array(assignments, dtype=np.int64)
+    z = np.array(_as_assignments(assignments))
     _check_assignments(data, z, system.n_classes)
-    G, B = _sweep_tables(data, system)[:2]
-    _sweep_stored(z, data.neighbor_tallies, G, B, rng)
+    _sweep_stored(z, *_sweep_tables(data, system)[:3], rng)
     return z
 
 
@@ -125,7 +130,7 @@ def _swap_moves(counts, sizes, ll, tables, a, b):
     Returns each swap's class permutation, log-likelihood, and log-joint gain
     over the current state (likelihood change plus class-prior delta).
     """
-    _, _, log_prior, log_tables = tables
+    log_prior, log_tables = tables[3:]
     perms = np.arange(sizes.size)[None].repeat(a.size, 0)
     rows = np.arange(a.size)
     perms[rows, a] = b
@@ -149,7 +154,7 @@ def _class_swap_move(z, counts, ll: float, tables, live, rng) -> tuple[np.ndarra
     if live.size < 2:
         return z, ll
     pick = live[rng.permutation(live.size)[:2]]
-    sizes = np.bincount(z, minlength=tables[2].size)
+    sizes = np.bincount(z, minlength=tables[3].size)
     if not sizes[pick].any():
         return z, ll
     perms, new_ll, log_ratio = _swap_moves(counts, sizes, ll, tables, pick[:1], pick[1:])
@@ -172,12 +177,12 @@ def _greedy_candidate(data, system, tables, live, rng) -> tuple[np.ndarray, floa
     the first improving one is taken, and the scan resumes after it.
     Returns the state and its log joint.
     """
-    G, B, log_prior, log_tables = tables
+    D, G, B, log_prior, log_tables = tables
     m = system.n_classes
     pairs = live[np.array(np.triu_indices(live.size, 1))]
     z = sample_stored_assignments(system, data.n_entities, rng)
     for _ in range(INIT_GREEDY_SWEEPS):
-        _sweep_stored(z, data.neighbor_tallies, G, B)
+        _sweep_stored(z, D, G, B)
         counts = pair_counts(data, z, m)
         ll = float(_loglik_from_counts(*counts, log_tables))
         sizes = np.bincount(z, minlength=m)
@@ -213,7 +218,7 @@ def run_stored_chain(
     """
     rng = np.random.default_rng(schedule.seed)
     tables = _sweep_tables(data, system)
-    G, B, _, log_tables = tables
+    D, G, B, _, log_tables = tables
     m = system.n_classes
     live = np.flatnonzero(system.class_probs > 0.0)
     z, best = _greedy_candidate(data, system, tables, live, rng)
@@ -221,18 +226,16 @@ def run_stored_chain(
         cand, joint = _greedy_candidate(data, system, tables, live, rng)
         if joint > best:
             z, best = cand, joint
-    retained: list[np.ndarray] = []
-    logliks: list[float] = []
+    retained = []
     for sweep in range(schedule.total_sweeps):
-        _sweep_stored(z, data.neighbor_tallies, G, B, rng)
+        _sweep_stored(z, D, G, B, rng)
         counts = pair_counts(data, z, m)
         ll = float(_loglik_from_counts(*counts, log_tables))
         z, ll = _class_swap_move(z, counts, ll, tables, live, rng)
-        done = sweep - schedule.burn_in + 1
-        if done >= 1 and done % schedule.thinning == 0:
-            retained.append(z.copy())
-            logliks.append(ll)
-    return PosteriorSamples(tuple(retained), np.asarray(logliks), f"stored:{system.name}")
+        if sweep in schedule.retained_sweeps:
+            retained.append((z.copy(), ll))
+    draws, logliks = zip(*retained)
+    return PosteriorSamples(draws, logliks, f"stored:{system.name}")
 
 
 def harmonic_mean_evidence(logliks) -> float:
@@ -285,14 +288,7 @@ def stored_component_predictions(
     retained assignment draws.  Unclamped; mixing and clamping happen in
     ``predictive_prob``.
     """
-    rows, cols = _cell_indices(cells, samples.partitions[0].size)
-    if not rows.size:
-        return np.empty(0)
-    link = system.link_probs
-    acc = np.zeros(rows.size)
-    for z in samples.partitions:
-        acc += link[z[rows], z[cols]]
-    return acc / samples.n_draws
+    return samples.mean_over_draws(system.link_probs[samples.cell_classes(cells)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,8 +364,6 @@ def analogy_predict_cells(
     if len(systems) != len(samples_list) or w.shape != (len(systems),):
         raise DimensionError("systems, samples, and weights must align")
     cells = list(cells)
-    if not cells:
-        return np.empty(0)
     comps = np.column_stack(
         [
             stored_component_predictions(s, sys, cells)

@@ -135,29 +135,10 @@ class RelationData:
     @cached_property
     def observed_link_matrices(self) -> np.ndarray:
         """(2, n, n) float array: 1 at each observed link in matrix 0 and at
-        each observed non-link in matrix 1, diagonal included."""
+        each observed non-link in matrix 1, diagonal included.  Both
+        samplers build their tallies from it."""
         obs = self.observed_mask
         return np.stack([obs & (self.cells == 1), obs & (self.cells == 0)]).astype(np.float64)
-
-    @cached_property
-    def neighbor_tallies(self) -> np.ndarray:
-        """(n, n, 4) tensor of what entity i adds to entity j's tallies.
-
-        Row ``[i, j]`` is ``(r1, rt, c1, ct)`` for the off-diagonal cells
-        linking the two: j's out-cell (j, i) as a link and as observed, then
-        j's in-cell (i, j) likewise.  Both samplers read it.
-        """
-        obs = self.observed_mask & ~np.eye(self.n_entities, dtype=bool)
-        links = obs & (self.cells == 1)
-        return np.stack([links.T, obs.T, links, obs], axis=-1).astype(np.float64)
-
-    @cached_property
-    def self_tallies(self) -> np.ndarray:
-        """(n, 2) tensor: entity i's self-cell as an observed link and as an
-        observed non-link (both 0 when the diagonal cell is unobserved)."""
-        obs = np.diagonal(self.observed_mask)
-        link = np.diagonal(self.cells) == 1
-        return np.stack([obs & link, obs & ~link], axis=-1).astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,28 +253,33 @@ class Hyperparameters:
 class PosteriorSamples:
     """Retained MCMC draws: one assignment vector and log-likelihood each.
 
-    For the nonparametric model the vectors are canonical partitions and
-    ``alphas`` records the Beta concentration alongside each draw (the
-    collapsed predictive rule needs it).  For stored-system chains the
-    vectors index into the system's fixed class space and classes may be
-    empty.
+    ``partitions`` is one read-only (draws x n) int64 array, row q being
+    draw q's class label per entity.  For the nonparametric model the rows
+    are canonical partitions and ``alphas`` records the Beta concentration
+    alongside each draw (the collapsed predictive rule needs it).  For
+    stored-system chains the rows index into the system's fixed class space
+    and classes may be empty.
     """
 
-    partitions: tuple[np.ndarray, ...]
+    partitions: np.ndarray
     logliks: np.ndarray
     model_tag: str
     alphas: np.ndarray | None = None
 
     def __post_init__(self):
-        logliks = np.array(self.logliks, dtype=np.float64)
-        parts = tuple(_frozen_array(p, np.int64) for p in self.partitions)
-        if len(parts) == 0:
+        logliks = _frozen_array(self.logliks, np.float64)
+        if len(self.partitions) == 0:
             raise ValueError("need at least one retained draw")
+        try:
+            parts = _frozen_array(self.partitions, np.int64)
+        except ValueError:  # numpy's error for ragged draws
+            parts = None
+        if parts is None or parts.ndim != 2:
+            raise DimensionError("every draw must be a 1-d assignment vector of one length")
         if logliks.shape != (len(parts),):
             raise DimensionError("one log-likelihood per draw required")
         if not np.isfinite(logliks).all():
             raise ValueError("draw log-likelihoods must be finite")
-        logliks.setflags(write=False)
         object.__setattr__(self, "partitions", parts)
         object.__setattr__(self, "logliks", logliks)
         if self.alphas is not None:
@@ -306,26 +292,44 @@ class PosteriorSamples:
     def n_draws(self) -> int:
         return len(self.partitions)
 
+    def cell_classes(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """Every draw's (row class, column class) at each (row, col) cell, as
+        two (draws x cells) arrays; the cells are range-checked."""
+        n = self.partitions.shape[1]
+        cells = [(int(r), int(c)) for r, c in cells]
+        rows = np.asarray([r for r, _ in cells], dtype=np.int64)
+        cols = np.asarray([c for _, c in cells], dtype=np.int64)
+        outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+        if outside.any():
+            raise DimensionError(f"cell {cells[outside.argmax()]} out of range for n={n}")
+        return self.partitions[:, rows], self.partitions[:, cols]
+
+    def mean_over_draws(self, values) -> np.ndarray:
+        """Mean over the draws of a (draws x cells) array, added in draw order
+        (numpy's sum adds a one-cell column pairwise, which moves last bits)."""
+        return np.cumsum(values, axis=0)[-1] / self.n_draws
+
 
 def pair_counts(data: RelationData, assignments, n_classes: int):
     """Observed link/non-link counts for every ordered class pair.
 
     Returns ``(ones, zeros)`` stacked in one 2 x n_classes x n_classes float
     array, where entry (a, b) counts observed cells from class-a rows to
-    class-b columns.  Every entry is a sum of small integers, so the matmuls
-    are exact.
+    class-b columns; labelings stacked along leading axes keep those axes.
+    Every entry is a sum of small integers, so the matmuls are exact.
     """
-    z = _as_assignments(assignments)
+    if isinstance(assignments, Partition):
+        assignments = assignments.assignments
+    z = np.asarray(assignments, dtype=np.int64)
     _check_assignments(data, z, n_classes)
-    onehot = np.zeros((z.size, n_classes))
-    onehot[np.arange(z.size), z] = 1.0
-    return onehot.T @ data.observed_link_matrices @ onehot
+    onehot = (z[..., None, :, None] == np.arange(n_classes)).astype(np.float64)
+    return onehot.swapaxes(-1, -2) @ data.observed_link_matrices @ onehot
 
 
 def _check_assignments(data: RelationData, z: np.ndarray, n_classes: int):
-    if z.shape != (data.n_entities,):
+    if z.shape[-1:] != (data.n_entities,):
         raise DimensionError(
-            f"assignments length {z.size} != entity count {data.n_entities}"
+            f"assignments of shape {z.shape} do not end in the entity count {data.n_entities}"
         )
     if z.size and (z.min() < 0 or z.max() >= n_classes):
         raise DimensionError(
@@ -343,7 +347,7 @@ def bernoulli_loglik(data: RelationData, assignments, link_probs) -> float:
     link = np.asarray(link_probs, dtype=np.float64)
     if link.ndim != 2 or link.shape[0] != link.shape[1]:
         raise DimensionError(f"link_probs must be square, got {link.shape}")
-    ones, zeros = pair_counts(data, assignments, link.shape[0])
+    ones, zeros = pair_counts(data, _as_assignments(assignments), link.shape[0])
     return float(_loglik_from_counts(ones, zeros, _log_tables(link)))
 
 
@@ -381,17 +385,6 @@ def collapsed_loglik(data: RelationData, partition, alpha: float) -> float:
 def _collapsed_from_counts(ones, zeros, alpha: float) -> float:
     """collapsed_loglik from the class-pair link and non-link counts."""
     return float(np.sum(betaln(alpha + ones, alpha + zeros) - betaln(alpha, alpha)))
-
-
-def _cell_indices(cells, n_entities: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays for (row, col) cells, range-checked."""
-    cells = [(int(r), int(c)) for r, c in cells]
-    for r, c in cells:
-        if not (0 <= r < n_entities and 0 <= c < n_entities):
-            raise DimensionError(f"cell {(r, c)} out of range for n={n_entities}")
-    rows = np.asarray([r for r, _ in cells], dtype=np.int64)
-    cols = np.asarray([c for _, c in cells], dtype=np.int64)
-    return rows, cols
 
 
 def predictive_prob(component_probs, weights):

@@ -86,8 +86,6 @@ def hybrid_component_predictions(
     if len(systems) != len(stored_samples):
         raise DimensionError("one sample set per stored system required")
     cells = list(cells)
-    if not cells:
-        return np.empty((0, len(systems) + 1))
     cols = [
         stored_component_predictions(s, sys, cells)
         for s, sys in zip(stored_samples, systems)

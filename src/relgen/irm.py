@@ -29,7 +29,6 @@ from .core import (
     Partition,
     PosteriorSamples,
     RelationData,
-    _cell_indices,
     _collapsed_from_counts,
     canonical_labels,
     clamp_probs,
@@ -62,6 +61,12 @@ class McmcSchedule:
     def total_sweeps(self) -> int:
         return self.burn_in + self.n_retained * self.thinning
 
+    @property
+    def retained_sweeps(self) -> range:
+        """Indices of the sweeps whose state is kept: every ``thinning``-th
+        after burn-in, ending with the last sweep."""
+        return range(self.burn_in + self.thinning - 1, self.total_sweeps, self.thinning)
+
     def with_seed(self, seed: int) -> "McmcSchedule":
         return replace(self, seed=seed)
 
@@ -73,7 +78,8 @@ class _ChainState:
     and column are an always-empty fresh class, so a birth is one pad.
     ``log_seats`` is log [class sizes..., gamma].  ``onehot`` has a column
     for every class the chain can open and, last, a row of ones that gathers
-    each entity's self-cell into every class.
+    each entity's self-cell into every class (an entity's own one-hot row
+    is zero while its tallies are gathered, so only that row reads it).
     """
 
     __slots__ = ("z", "sizes", "log_seats", "counts", "onehot", "tallies")
@@ -93,12 +99,12 @@ class _ChainState:
         # tallies[i] @ onehot gives, per class, entity i's observed row,
         # column and joint (row + column + self-cell) links, then the same
         # for non-links
-        D = data.neighbor_tallies.transpose(1, 2, 0)
+        M = data.observed_link_matrices
         self.tallies = np.zeros((n, 6, n + 1))
-        self.tallies[:, 0:2, :n] = D[:, 0::2]
-        self.tallies[:, 3:5, :n] = D[:, 1::2] - D[:, 0::2]
-        self.tallies[:, 2::3, n] = data.self_tallies
-        self.tallies[:, 2::3] += self.tallies[:, 0::3] + self.tallies[:, 1::3]
+        self.tallies[:, 0::3, :n] = M.transpose(1, 0, 2)
+        self.tallies[:, 1::3, :n] = M.transpose(2, 0, 1)
+        self.tallies[:, 2::3, :n] = self.tallies[:, 0::3, :n] + self.tallies[:, 1::3, :n]
+        self.tallies[:, 2::3, n] = np.diagonal(M, axis1=1, axis2=2).T
 
     @property
     def class_counts(self) -> np.ndarray:
@@ -363,23 +369,17 @@ def run_irm_chain(
         )
     state = _ChainState(data, init_partition)
 
-    retained: list[np.ndarray] = []
-    logliks: list[float] = []
-    alphas: list[float] = []
-    done = 0
+    retained = []
     for sweep in range(schedule.total_sweeps):
         _sweep(state, hp, rng)
         if sample_hyperparams:
             hp = _alpha_step(*state.class_counts, hp, rng, MH_PROPOSAL_SCALE)
             hp = _gamma_step(state.sizes, hp, rng, MH_PROPOSAL_SCALE)
-        done = sweep - schedule.burn_in + 1
-        if done >= 1 and done % schedule.thinning == 0:
-            retained.append(canonical_labels(state.z))
-            logliks.append(_collapsed_from_counts(*state.class_counts, hp.alpha))
-            alphas.append(hp.alpha)
-    return PosteriorSamples(
-        tuple(retained), np.asarray(logliks), "irm", np.asarray(alphas)
-    )
+        if sweep in schedule.retained_sweeps:
+            ll = _collapsed_from_counts(*state.class_counts, hp.alpha)
+            retained.append((canonical_labels(state.z), ll, hp.alpha))
+    draws, logliks, alphas = zip(*retained)
+    return PosteriorSamples(draws, logliks, "irm", alphas)
 
 
 def irm_predict_cells(
@@ -393,14 +393,9 @@ def irm_predict_cells(
     """
     if samples.alphas is None:
         raise ConfigError("samples carry no alpha draws; not a collapsed chain")
-    rows, cols = _cell_indices(cells, data.n_entities)
-    if not rows.size:
-        return np.empty(0)
-    acc = np.zeros(rows.size)
-    for z, alpha in zip(samples.partitions, samples.alphas):
-        k = int(z.max()) + 1
-        ones, zeros = pair_counts(data, z, k)
-        n1 = ones[z[rows], z[cols]]
-        n0 = zeros[z[rows], z[cols]]
-        acc += (n1 + alpha) / (n1 + n0 + 2.0 * alpha)
-    return clamp_probs(acc / samples.n_draws)
+    z = samples.partitions
+    ones, zeros = pair_counts(data, z, int(z.max()) + 1).swapaxes(0, 1)
+    at = (np.arange(samples.n_draws)[:, None], *samples.cell_classes(cells))
+    n1, n0 = ones[at], zeros[at]
+    alpha = samples.alphas[:, None]
+    return clamp_probs(samples.mean_over_draws((n1 + alpha) / (n1 + n0 + 2.0 * alpha)))

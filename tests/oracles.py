@@ -198,6 +198,35 @@ def exact_stored_predictive(data, system, cells) -> np.ndarray:
     return preds
 
 
+def _cell_arrays(cells):
+    return (np.asarray([r for r, _ in cells], dtype=np.int64),
+            np.asarray([c for _, c in cells], dtype=np.int64))
+
+
+def stored_predictions_by_draw(samples, system, cells) -> np.ndarray:
+    """Per-cell link probability under a stored system, averaged over the
+    retained draws by adding one draw at a time, in draw order; unclamped."""
+    rows, cols = _cell_arrays(cells)
+    acc = np.zeros(rows.size)
+    for z in samples.partitions:
+        acc += system.link_probs[z[rows], z[cols]]
+    return acc / samples.n_draws
+
+
+def irm_predictions_by_draw(data, samples, cells) -> np.ndarray:
+    """Per-cell Beta posterior-mean link probability, (n1 + alpha) /
+    (n1 + n0 + 2 alpha) from each draw's block counts, averaged by adding
+    one draw at a time, in draw order, then clamped to [1e-6, 1 - 1e-6]."""
+    rows, cols = _cell_arrays(cells)
+    acc = np.zeros(rows.size)
+    for z, alpha in zip(samples.partitions, samples.alphas):
+        ones, zeros = np.asarray(block_counts(data, z, int(z.max()) + 1), dtype=np.float64)
+        n1 = ones[z[rows], z[cols]]
+        n0 = zeros[z[rows], z[cols]]
+        acc += (n1 + alpha) / (n1 + n0 + 2.0 * alpha)
+    return np.clip(acc / samples.n_draws, 1e-6, 1 - 1e-6)
+
+
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

@@ -83,8 +83,7 @@ def self_cell_data(rng, n):
 def check_table_tracks_oracle(data, system, z, seed, sweeps):
     """Step the kernel's table through Gibbs sweeps, comparing every row
     with the slow conditional after each entity update; returns the moves."""
-    D = data.neighbor_tallies
-    G, B = _sweep_tables(data, system)[:2]
+    D, G, B = _sweep_tables(data, system)[:3]
     n = data.n_entities
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     moves = 0
@@ -130,8 +129,7 @@ def test_sweep_table_empty_observed_set_and_single_entity():
         log_prior = np.log(system.class_probs)
     empty = RelationData(6, np.ones((6, 6), dtype=np.int8), np.zeros((6, 6), dtype=bool))
     z = np.array([0, 2, 0, 2, 2, 0])
-    G, B = _sweep_tables(empty, system)[:2]
-    assert_array_equal(_stored_table(empty.neighbor_tallies, G, B, z),
+    assert_array_equal(_stored_table(*_sweep_tables(empty, system)[:3], z),
                        np.tile(log_prior, (6, 1)))
     check_table_tracks_oracle(empty, system, z, seed=22, sweeps=2)
     for value in (0, 1):
@@ -157,8 +155,7 @@ def test_argmax_sweep_takes_first_maximum():
         want = z.copy()
         for i in range(30):
             want[i] = np.argmax(stored_conditional(data, system, want, i))
-        G, B = _sweep_tables(data, system)[:2]
-        _sweep_stored(z, data.neighbor_tallies, G, B)
+        _sweep_stored(z, *_sweep_tables(data, system)[:3])
         assert_array_equal(z, want)
     assert not want.any()  # all-equal conditionals pick class 0
 

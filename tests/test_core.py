@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import betaln
 
 from relgen import (
@@ -88,22 +88,13 @@ def test_relation_data_tallies_match_brute_force():
         n = int(rng.integers(2, 8))
         data = random_data(rng, n)
         assert data.n_observed == int(data.observed_mask.sum())
-        D = data.neighbor_tallies
-        S = data.self_tallies
-        assert D.shape == (n, n, 4) and S.shape == (n, 2)
+        M = data.observed_link_matrices
+        assert M.shape == (2, n, n) and M.dtype == np.float64
         for i in range(n):
             for j in range(n):
-                # what i adds to j's tallies: j's out-cell (j, i), in-cell (i, j)
-                out_obs = int(data.observed_mask[j, i] and i != j)
-                in_obs = int(data.observed_mask[i, j] and i != j)
-                expected = [
-                    out_obs * int(data.cells[j, i]), out_obs,
-                    in_obs * int(data.cells[i, j]), in_obs,
-                ]
-                assert D[i, j].tolist() == expected
-            self_obs = bool(data.observed_mask[i, i])
-            link = int(data.cells[i, i])
-            assert S[i].tolist() == [self_obs and link == 1, self_obs and link == 0]
+                observed = bool(data.observed_mask[i, j])
+                link = int(data.cells[i, j])
+                assert M[:, i, j].tolist() == [observed and link == 1, observed and link == 0]
 
 
 def test_partition_validation_and_canonical_form():
@@ -150,6 +141,19 @@ def test_posterior_samples_validation():
         PosteriorSamples((z,), np.array([-1.0]), "irm", alphas=np.array([1.0, 2.0]))
 
 
+def test_posterior_samples_is_one_read_only_array():
+    draws = [np.array([0, 1, 1]), np.array([0, 0, 1])]
+    samples = PosteriorSamples(draws, [-1.0, -2.0], "irm")
+    assert samples.partitions.shape == (2, 3)
+    assert samples.partitions.dtype == np.int64
+    assert not samples.partitions.flags.writeable
+    assert samples.n_draws == 2
+    ragged = ([np.zeros(2), np.zeros(3)], [np.zeros((2, 3))], [np.zeros((2, 3))] * 2)
+    for bad in ragged:
+        with pytest.raises(DimensionError, match="1-d assignment vector of one length"):
+            PosteriorSamples(bad, np.full(len(bad), -1.0), "irm")
+
+
 def test_pair_counts_matches_loops():
     rng = np.random.default_rng(4)
     for _ in range(25):
@@ -163,11 +167,19 @@ def test_pair_counts_matches_loops():
         assert zeros.tolist() == z2
         # every observed cell lands in exactly one tally
         assert ones.sum() + zeros.sum() == data.n_observed
+        # stacked labelings give each labeling's counts, bit for bit
+        stacked = rng.integers(0, k, size=(2, 3, n))
+        want = [[pair_counts(data, zq, k) for zq in row] for row in stacked]
+        assert_array_equal(pair_counts(data, stacked, k), want)
 
 
 def test_pair_counts_rejects_bad_labels():
     data = random_data(np.random.default_rng(5), 2)
-    for z in ([-1, 0], [0, 2], [0, 1, 1]):
+    for z in ([-1, 0], [0, 2], [0, 1, 1], 0):
+        with pytest.raises(DimensionError):
+            pair_counts(data, z, 2)
+    # stacked labelings: one bad row, or rows of the wrong length
+    for z in ([[0, 1], [-1, 0]], [[0, 1], [0, 2]], [[0, 1, 1], [0, 0, 0]]):
         with pytest.raises(DimensionError):
             pair_counts(data, z, 2)
 

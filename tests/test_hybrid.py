@@ -124,7 +124,7 @@ def test_component_predictions_and_mixture():
 def test_component_predictions_reject_out_of_range_cells():
     data, pool, chains, irm = small_fit()
     n = data.n_entities
-    for cell in ((-1, 0), (n, 0)):
+    for cell in ((-1, 0), (n, 0), (0, n)):
         with pytest.raises(DimensionError):
             stored_component_predictions(chains[0], pool[0], [cell])
         with pytest.raises(DimensionError):

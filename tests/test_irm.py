@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp
 from scipy.stats import kstest
 
@@ -14,6 +14,7 @@ from relgen import (
     McmcSchedule,
     Partition,
     RelationData,
+    StoredSystem,
     collapsed_loglik,
     conditional_class_logweights,
     gibbs_sweep,
@@ -21,6 +22,7 @@ from relgen import (
     mh_update_alpha,
     mh_update_gamma,
     run_irm_chain,
+    stored_component_predictions,
 )
 
 from oracles import (
@@ -28,7 +30,9 @@ from oracles import (
     exact_irm_partition_posterior,
     exact_irm_predictive,
     irm_conditional_reference,
+    irm_predictions_by_draw,
     marginal_loglik,
+    stored_predictions_by_draw,
     total_variation,
     truncated_exp_cdf,
     truncated_power_cdf,
@@ -53,6 +57,7 @@ def candidate_states(partition: Partition, entity: int) -> list[Partition]:
 def test_schedule_validation():
     s = McmcSchedule(burn_in=10, n_retained=5, thinning=3, seed=2)
     assert s.total_sweeps == 10 + 5 * 3
+    assert list(s.retained_sweeps) == [12, 15, 18, 21, 24]
     assert s.with_seed(9).seed == 9
     assert s.with_seed(9).burn_in == 10
     with pytest.raises(ConfigError):
@@ -362,6 +367,23 @@ def test_chain_predictive_matches_enumeration():
     )
     approx = irm_predict_cells(samples, data, data.test_cells)
     assert np.abs(approx - exact).max() < 0.02
+
+
+def test_predictions_match_per_draw_loops():
+    # the class count varies across draws, so the batched counts span more
+    # classes than most draws use; a single cell must still sum in draw order
+    rng = np.random.default_rng(102)
+    data = random_data(rng, 12)
+    samples = run_irm_chain(data, McmcSchedule(burn_in=20, n_retained=30, thinning=1, seed=8))
+    k = samples.partitions.max(axis=1) + 1
+    assert k.min() < k.max()
+    wide = StoredSystem("wide", rng.uniform(size=(k.max(), k.max())), np.full(k.max(), 1 / k.max()))
+    cells = [(r, c) for r in range(12) for c in range(12)]
+    for query in (cells, cells[5:6], []):
+        assert_array_equal(irm_predict_cells(samples, data, query),
+                           irm_predictions_by_draw(data, samples, query))
+        assert_array_equal(stored_component_predictions(samples, wide, query),
+                           stored_predictions_by_draw(samples, wide, query))
 
 
 def test_irm_predict_single_draw_by_hand():
