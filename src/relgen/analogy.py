@@ -291,6 +291,27 @@ def stored_component_predictions(
     return samples.mean_over_draws(system.link_probs[samples.cell_classes(cells)])
 
 
+def _hm_log_evidences(samples_list) -> np.ndarray:
+    """Harmonic-mean log-evidence of each chain.  The chains must have equal
+    draw counts, so that their estimates are comparable."""
+    draw_counts = {s.n_draws for s in samples_list}
+    if len(draw_counts) != 1:
+        raise ConfigError(
+            f"equal draw counts required across chains, got {sorted(draw_counts)}"
+        )
+    return np.asarray([harmonic_mean_evidence(s.logliks) for s in samples_list])
+
+
+def _stored_columns(samples_list, systems, cells) -> np.ndarray:
+    """(n_cells, K) predictions, one column per stored system and its chain."""
+    return np.column_stack(
+        [
+            stored_component_predictions(s, sys, cells)
+            for s, sys in zip(samples_list, systems)
+        ]
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class AnalogyReport:
     """Evidence estimates and posterior weights for a pool of systems."""
@@ -345,12 +366,7 @@ def analogy_report(
     samples_list = list(samples_list)
     if len(systems) != len(samples_list) or not systems:
         raise DimensionError("need one non-empty sample set per system")
-    draw_counts = {s.n_draws for s in samples_list}
-    if len(draw_counts) != 1:
-        raise ConfigError(
-            f"equal draw counts required across systems, got {sorted(draw_counts)}"
-        )
-    le = np.asarray([harmonic_mean_evidence(s.logliks) for s in samples_list])
+    le = _hm_log_evidences(samples_list)
     return AnalogyReport.from_evidences((s.name for s in systems), le, log_priors)
 
 
@@ -363,11 +379,4 @@ def analogy_predict_cells(
     w = np.asarray(weights, dtype=np.float64)
     if len(systems) != len(samples_list) or w.shape != (len(systems),):
         raise DimensionError("systems, samples, and weights must align")
-    cells = list(cells)
-    comps = np.column_stack(
-        [
-            stored_component_predictions(s, sys, cells)
-            for s, sys in zip(samples_list, systems)
-        ]
-    )
-    return predictive_prob(comps, w)
+    return predictive_prob(_stored_columns(samples_list, systems, list(cells)), w)

@@ -25,7 +25,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import groupby
 from pathlib import Path
@@ -522,9 +522,9 @@ def _hybrid_bits(p: _HybridPayload, tau_star: float):
 
 def _validation_cells(data: RelationData, seed: int) -> tuple:
     n = data.n_entities
-    taken = set(np.nonzero(data.observed_mask.reshape(-1))[0].tolist())
-    taken |= {r * n + c for r, c in data.test_cells}
-    free = np.asarray([i for i in range(n * n) if i not in taken], dtype=np.int64)
+    spare = ~data.observed_mask
+    spare[tuple(np.array(data.test_cells, dtype=np.int64).reshape(-1, 2).T)] = False
+    free = np.flatnonzero(spare)
     if free.size == 0:
         raise ConfigError("validation-split tau mode needs unobserved spare cells")
     rng = np.random.default_rng(seed)
@@ -670,30 +670,29 @@ def run_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Results CSV (fixed header, repr-exact floats) and summaries.
+# Results CSV (fixed header, repr-exact floats) and summaries.  The row
+# dataclasses are the schema: a column is a field, in field order.
 
-RESULT_COLUMNS = [
-    "target_system",
-    "model",
-    "n_stored",
-    "observed_fraction",
-    "score",
-    "n_test",
-    "weights",
-    "tau_star",
-    "irm_weight",
-    "seed",
-    "status",
-    "error",
-]
+RESULT_COLUMNS = [f.name for f in fields(ResultRow) if f.name != "wall_seconds"]
 
 
-def _opt_str(value) -> str:
+def _cell(value) -> str:
+    """One CSV cell: None and empty weights blank, a float by its repr (so it
+    parses back exactly), weights as a JSON list of [name, weight] pairs."""
+    if isinstance(value, tuple):
+        return json.dumps([list(pair) for pair in value]) if value else ""
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _csv_text(header, records) -> str:
+    """CSV text: the header line, then one line per record of values."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in rec] for rec in records)
+    return buf.getvalue()
 
 
 def emit_results_csv(rows, include_timing: bool = False) -> str:
@@ -703,69 +702,57 @@ def emit_results_csv(rows, include_timing: bool = False) -> str:
     but timing varies between runs, so the column is off by default to keep
     rerun output byte-identical.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = RESULT_COLUMNS + (["wall_seconds"] if include_timing else [])
-    writer.writerow(header)
-    for r in rows:
-        rec = [
-            r.target_system,
-            r.model,
-            _opt_str(r.n_stored),
-            repr(float(r.observed_fraction)),
-            _opt_str(r.score),
-            str(r.n_test),
-            json.dumps([[n, w] for n, w in r.weights]) if r.weights else "",
-            _opt_str(r.tau_star),
-            _opt_str(r.irm_weight),
-            str(r.seed),
-            r.status,
-            r.error,
-        ]
-        if include_timing:
-            rec.append(_opt_str(r.wall_seconds))
-        writer.writerow(rec)
-    return buf.getvalue()
+    return _csv_text(header, ([getattr(r, name) for name in header] for r in rows))
+
+
+def _parse_weights(text: str) -> tuple:
+    return tuple((str(n), float(w)) for n, w in json.loads(text or "[]"))
+
+
+# how a results cell reads back, by the declared type of its field
+_CELL_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[tuple[str, float], ...]": _parse_weights,
+}
+
+
+def _field_parser(annotation: str):
+    """The parser of a field annotated ``annotation`` (a string, as every
+    annotation in this module is); a blank cell of an optional field is None."""
+    kind = annotation.removesuffix(" | None")
+    parse = _CELL_PARSERS[kind]
+    if kind == annotation:
+        return parse
+    return lambda text: parse(text) if text else None
+
+
+_RESULT_PARSERS = {f.name: _field_parser(f.type) for f in fields(ResultRow)}
 
 
 def parse_results_csv(text: str) -> list[ResultRow]:
-    """Inverse of emit_results_csv (timing column included when present)."""
+    """Inverse of emit_results_csv (timing column included when present).
+
+    Raises ValueError on a foreign header, a short or long line, or a row
+    naming a model other than irm, analogy or hybrid.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
-    if header is None or header[: len(RESULT_COLUMNS)] != RESULT_COLUMNS:
+    if header not in (RESULT_COLUMNS, RESULT_COLUMNS + ["wall_seconds"]):
         raise ValueError("unrecognized results CSV header")
-    has_timing = header[len(RESULT_COLUMNS) :] == ["wall_seconds"]
-    if not has_timing and len(header) != len(RESULT_COLUMNS):
-        raise ValueError("unrecognized results CSV header")
+    parsers = [_RESULT_PARSERS[name] for name in header]
     rows = []
     for rec in reader:
         if not rec:
             continue
-        expected = len(RESULT_COLUMNS) + (1 if has_timing else 0)
-        if len(rec) != expected:
-            raise ValueError(f"expected {expected} fields, got {len(rec)}")
-        weights = (
-            tuple((str(n), float(w)) for n, w in json.loads(rec[6]))
-            if rec[6]
-            else ()
-        )
-        rows.append(
-            ResultRow(
-                target_system=rec[0],
-                model=rec[1],
-                n_stored=int(rec[2]) if rec[2] else None,
-                observed_fraction=float(rec[3]),
-                score=float(rec[4]) if rec[4] else None,
-                n_test=int(rec[5]),
-                weights=weights,
-                tau_star=float(rec[7]) if rec[7] else None,
-                irm_weight=float(rec[8]) if rec[8] else None,
-                seed=int(rec[9]),
-                status=rec[10],
-                error=rec[11],
-                wall_seconds=float(rec[12]) if has_timing and rec[12] else None,
-            )
-        )
+        if len(rec) != len(header):
+            raise ValueError(f"expected {len(header)} fields, got {len(rec)}")
+        row = ResultRow(**{n: p(v) for n, p, v in zip(header, parsers, rec)})
+        if row.model not in VALID_MODELS:
+            raise ValueError(f"unknown model {row.model!r}; choose from {VALID_MODELS}")
+        rows.append(row)
     return rows
 
 
@@ -777,6 +764,9 @@ class SummaryRow:
     mean_score: float
     n_rows: int
     mean_irm_weight: float | None
+
+
+SUMMARY_COLUMNS = [f.name for f in fields(SummaryRow)]
 
 
 def summarize(rows, exclude_smallest_fraction: bool = False) -> list[SummaryRow]:
@@ -813,49 +803,27 @@ def summarize(rows, exclude_smallest_fraction: bool = False) -> list[SummaryRow]
     return out
 
 
-SUMMARY_COLUMNS = [
-    "model",
-    "n_stored",
-    "observed_fraction",
-    "mean_score",
-    "n_rows",
-    "mean_irm_weight",
-]
-
-
 def emit_summary_csv(summary_rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS)
-    for s in summary_rows:
-        writer.writerow(
-            [
-                s.model,
-                _opt_str(s.n_stored),
-                repr(float(s.observed_fraction)),
-                repr(float(s.mean_score)),
-                str(s.n_rows),
-                _opt_str(s.mean_irm_weight),
-            ]
-        )
-    return buf.getvalue()
+    records = ([getattr(s, name) for name in SUMMARY_COLUMNS] for s in summary_rows)
+    return _csv_text(SUMMARY_COLUMNS, records)
 
 
 # ---------------------------------------------------------------------------
 # Command-line interface.
 
 def _add_schedule_flags(p: argparse.ArgumentParser):
-    p.add_argument("--burn-in", type=int, default=None, help="burn-in sweeps")
-    p.add_argument("--retained", type=int, default=None, help="retained draws")
-    p.add_argument("--thinning", type=int, default=None, help="sweeps between draws")
+    p.add_argument("--burn-in", type=int, help="burn-in sweeps")
+    p.add_argument("--retained", dest="n_retained", type=int, help="retained draws")
+    p.add_argument("--thinning", type=int, help="sweeps between draws")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _comma_list(kind: type):
+    """An argparse type: comma-separated ``kind`` items, as a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(x) for x in text.split(",") if x.strip())
 
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def _cmd_generate(args) -> int:
@@ -905,30 +873,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _infer_schedule(args) -> McmcSchedule:
-    flags = dict(burn_in=args.burn_in, n_retained=args.retained, thinning=args.thinning)
+    flags = dict(burn_in=args.burn_in, n_retained=args.n_retained, thinning=args.thinning)
     return McmcSchedule(**{k: v for k, v in flags.items() if v is not None})
-
-
-def _write_predictions(path, cells, truths, preds):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row", "col", "truth", "prob"])
-    for (r, c), t, p in zip(cells, truths, preds):
-        writer.writerow([r, c, int(t), repr(float(p))])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
-
-
-def _write_report(path, report):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "system", "log_evidence", "weight"])
-    index = {name: i for i, name in enumerate(report.names)}
-    for rank, name in enumerate(report.ranking, start=1):
-        i = index[name]
-        writer.writerow(
-            [rank, name, repr(float(report.log_evidences[i])), repr(float(report.weights[i]))]
-        )
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def _usage_error(message: str) -> int:
@@ -963,10 +909,21 @@ def _cmd_infer(args) -> int:
     )
     bits, preds, report, _ = cell.fit(args.model, len(pool) or None)
     cells = data.test_cells
-    _write_predictions(args.out, cells, cell.truths, preds)
-    # for hybrid, the evidence ranking over the stored pool is a side report
+    records = ((r, c, t, p) for (r, c), t, p in zip(cells, cell.truths, preds))
+    Path(args.out).write_text(
+        _csv_text(["row", "col", "truth", "prob"], records), encoding="utf-8"
+    )
+    # the pool models also write the evidence ranking over their pool
     if report is not None:
-        _write_report(str(args.out) + ".report.csv", report)
+        ranked = [report.names.index(name) for name in report.ranking]
+        records = (
+            (rank, report.names[i], report.log_evidences[i], report.weights[i])
+            for rank, i in enumerate(ranked, start=1)
+        )
+        Path(str(args.out) + ".report.csv").write_text(
+            _csv_text(["rank", "system", "log_evidence", "weight"], records),
+            encoding="utf-8",
+        )
     extra = f", tau*={bits['tau_star']:.6g}" if "tau_star" in bits else ""
     print(f"held-out score {bits['score']:.6f} over {len(cells)} test cells{extra}")
     return 0
@@ -983,22 +940,7 @@ def _cmd_experiment(args) -> int:
             return _usage_error(f"--config: {exc}")
         if not isinstance(file_values, dict):
             return _usage_error("--config: expected a JSON object of settings")
-    overrides = {
-        "entity_count": args.entities,
-        "observed_fractions": args.fractions,
-        "stored_counts": args.k_values,
-        "models": tuple(args.models.split(",")) if args.models else None,
-        "systems_dir": args.systems_dir,
-        "n_target_systems": args.targets,
-        "test_fraction": args.test_fraction,
-        "burn_in": args.burn_in,
-        "n_retained": args.retained,
-        "thinning": args.thinning,
-        "master_seed": args.seed,
-        "tau_mode": args.tau_mode,
-        "include_target_in_pool": args.include_target_in_pool or None,
-        "emit_timing": args.emit_timing or None,
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     try:
         config = ExperimentConfig.from_sources(file_values, overrides)
     except ConfigError as exc:
@@ -1077,21 +1019,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     p.set_defaults(func=_cmd_infer)
 
+    # a flag that sets an ExperimentConfig field has the field's name as its
+    # dest and None as its default, so `_cmd_experiment` reads it by name
     p = sub.add_parser("experiment", help="run the full evaluation grid")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--entities", type=int, default=None)
-    p.add_argument("--fractions", type=_parse_float_list, default=None)
-    p.add_argument("--k-values", type=_parse_int_list, default=None)
-    p.add_argument("--models", default=None, help="comma list: irm,analogy,hybrid")
-    p.add_argument("--systems-dir", default=None)
-    p.add_argument("--targets", type=int, default=None, help="target system count")
-    p.add_argument("--test-fraction", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None, help="master seed")
+    p.add_argument("--entities", dest="entity_count", type=int)
+    p.add_argument("--fractions", dest="observed_fractions", type=_comma_list(float))
+    p.add_argument("--k-values", dest="stored_counts", type=_comma_list(int))
+    p.add_argument("--models", type=_comma_list(str),
+                   help="comma list: irm,analogy,hybrid")
+    p.add_argument("--systems-dir")
+    p.add_argument("--targets", dest="n_target_systems", type=int)
+    p.add_argument("--test-fraction", type=float)
+    p.add_argument("--seed", dest="master_seed", type=int)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="results CSV path")
-    p.add_argument("--tau-mode", choices=VALID_TAU_MODES, default=None)
-    p.add_argument("--include-target-in-pool", action="store_true")
-    p.add_argument("--emit-timing", action="store_true")
+    p.add_argument("--tau-mode", choices=VALID_TAU_MODES)
+    p.add_argument("--include-target-in-pool", action="store_true", default=None)
+    p.add_argument("--emit-timing", action="store_true", default=None)
     p.add_argument("--keep-going", action="store_true",
                    help="exit 0 even when some rows errored")
     p.add_argument("--verbose", action="store_true")

@@ -96,8 +96,8 @@ class RelationData:
 
     ``cells`` holds the full n x n truth matrix (self-links on the diagonal
     are ordinary cells).  ``observed_mask`` marks the cells a learner may
-    condition on; ``test_cells`` are held-out (row, col) pairs, disjoint from
-    the observed set, used only for scoring.
+    condition on; ``test_cells`` are distinct held-out (row, col) pairs,
+    disjoint from the observed set, used only for scoring.
     """
 
     n_entities: int
@@ -119,11 +119,15 @@ class RelationData:
         cells.setflags(write=False)
         mask.setflags(write=False)
         test = tuple((int(r), int(c)) for r, c in self.test_cells)
+        seen = set()
         for r, c in test:
             if not (0 <= r < n and 0 <= c < n):
                 raise DimensionError(f"test cell {(r, c)} out of range for n={n}")
             if mask[r, c]:
                 raise ValueError(f"test cell {(r, c)} is also observed")
+            if (r, c) in seen:
+                raise ValueError(f"test cell {(r, c)} is listed twice")
+            seen.add((r, c))
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "observed_mask", mask)
         object.__setattr__(self, "test_cells", test)

@@ -18,11 +18,7 @@ from .core import (
     PosteriorSamples,
     RelationData,
 )
-from .analogy import (
-    analogy_weights,
-    harmonic_mean_evidence,
-    stored_component_predictions,
-)
+from .analogy import _hm_log_evidences, _stored_columns, analogy_weights
 from .irm import irm_predict_cells
 
 TAU_LOG10_LOWER = -4.0
@@ -57,14 +53,7 @@ def hybrid_log_evidences(stored_samples, irm_samples: PosteriorSamples) -> np.nd
         raise DimensionError("need at least one stored-system sample set")
     if irm_samples.alphas is None:
         raise ConfigError("theory samples carry no alpha draws; not a collapsed chain")
-    draw_counts = {s.n_draws for s in stored_samples} | {irm_samples.n_draws}
-    if len(draw_counts) != 1:
-        raise ConfigError(
-            f"equal draw counts required across components, got {sorted(draw_counts)}"
-        )
-    evidences = [harmonic_mean_evidence(s.logliks) for s in stored_samples]
-    evidences.append(harmonic_mean_evidence(irm_samples.logliks))
-    return np.asarray(evidences)
+    return _hm_log_evidences(stored_samples + [irm_samples])
 
 
 def hybrid_weights(log_evidences, tau: float) -> np.ndarray:
@@ -86,12 +75,8 @@ def hybrid_component_predictions(
     if len(systems) != len(stored_samples):
         raise DimensionError("one sample set per stored system required")
     cells = list(cells)
-    cols = [
-        stored_component_predictions(s, sys, cells)
-        for s, sys in zip(stored_samples, systems)
-    ]
-    cols.append(irm_predict_cells(irm_samples, data, cells))
-    return np.column_stack(cols)
+    stored = _stored_columns(stored_samples, systems, cells)
+    return np.column_stack([stored, irm_predict_cells(irm_samples, data, cells)])
 
 
 _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))

@@ -250,6 +250,12 @@ def test_results_csv_rejects_foreign_header():
         parse_results_csv("alpha,beta\n1,2\n")
 
 
+def test_results_csv_rejects_unknown_model():
+    text = emit_results_csv([replace(sample_rows()[0], model="theory")])
+    with pytest.raises(ValueError, match="unknown model 'theory'"):
+        parse_results_csv(text)
+
+
 def test_emit_is_deterministic():
     rows = sample_rows()
     assert emit_results_csv(rows) == emit_results_csv(rows)
@@ -587,6 +593,12 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
     not_json.write_text("{")
     not_results = tmp_path / "not-results.csv"
     not_results.write_text("alpha,beta\n1,2\n")
+    foreign_model = tmp_path / "foreign-model.csv"
+    foreign_model.write_text(emit_results_csv([replace(sample_rows()[1], model="x")]))
+    doc = json.loads(dataset.read_text())
+    doc["test_idx"] = doc["test_idx"][:1] * 2
+    repeated_test = tmp_path / "repeated-test.json"
+    repeated_test.write_text(json.dumps(doc))
     out = tmp_path / "p.csv"
     to_out = ["--out", str(out)]
     cases = [
@@ -600,11 +612,15 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
          "error: --systems-dir: "),
         (["infer", "--dataset", str(not_json), "--model", "irm"] + to_out,
          "error: --dataset: "),
+        (["infer", "--dataset", str(repeated_test), "--model", "irm"] + to_out,
+         "error: --dataset: "),
         (["experiment", "--config", str(not_json)] + to_out, "error: --config: "),
         (["infer", "--dataset", str(dataset), "--model", "hybrid",
           "--systems-dir", str(broken)] + to_out, "error: --systems-dir: "),
         (["summarize", "--results", str(not_results)] + to_out,
          "error: --results: "),
+        (["summarize", "--results", str(foreign_model)] + to_out,
+         "error: --results: unknown model 'x'"),
         (["simulate", "--system", str(not_json)] + to_out, "error: --system: "),
         (["simulate", "--system", str(tmp_path / "missing.json")] + to_out,
          "error: --system: "),

@@ -172,6 +172,12 @@ def test_dataset_text_rejects_malformed_documents():
     doc2["observed_idx"] = [99]
     with pytest.raises(ValueError):
         dataset_from_text(json.dumps(doc2))
+    # a repeated test cell would be scored twice
+    doc3 = json.loads(dataset_to_text(data))
+    spare = min(set(range(9)) - set(doc3["observed_idx"]))
+    doc3["test_idx"] = [spare, spare]
+    with pytest.raises(ValueError, match="listed twice"):
+        dataset_from_text(json.dumps(doc3))
 
 
 def test_file_round_trips(tmp_path):
