@@ -10,7 +10,7 @@ posterior weights over the pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
@@ -314,49 +314,37 @@ def _stored_columns(samples_list, systems, cells) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AnalogyReport:
-    """Evidence estimates and posterior weights for a pool of systems."""
+    """Evidence estimates for a pool of systems, and what they imply.
+
+    Only the names and log-evidences are passed in.  ``weights`` are
+    `analogy_weights` of the evidences under a uniform prior, and
+    ``ranking`` orders the names by weight, highest first, ties by name.
+    """
 
     names: tuple[str, ...]
     log_evidences: np.ndarray
-    weights: np.ndarray
-    ranking: tuple[str, ...]
+    weights: np.ndarray = field(init=False)
+    ranking: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
+        names = tuple(self.names)
         le = np.asarray(self.log_evidences, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        k = len(self.names)
-        if le.shape != (k,) or w.shape != (k,):
-            raise DimensionError("one evidence and one weight per system required")
-        if abs(w.sum() - 1.0) > 1e-9 or (w < 0).any():
-            raise ValueError("weights must be nonnegative and sum to 1")
-        expected = _rank_names(self.names, w)
-        if tuple(self.ranking) != expected:
-            raise ValueError("ranking must sort by weight desc, ties by name")
-        object.__setattr__(self, "log_evidences", le)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_evidences(cls, names, log_evidences, log_priors=None) -> "AnalogyReport":
-        """The report for systems ``names`` with the given log-evidences."""
-        names = tuple(names)
         if len(set(names)) != len(names):
             raise ConfigError("stored system names must be unique")
-        w = analogy_weights(log_evidences, log_priors)
-        return cls(names, log_evidences, w, _rank_names(names, w))
+        if le.shape != (len(names),):
+            raise DimensionError("one evidence per system required")
+        w = analogy_weights(le)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "log_evidences", le)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "ranking", tuple(n for _, n in sorted(zip(-w, names))))
 
     @property
     def best(self) -> str:
         return self.ranking[0]
 
 
-def _rank_names(names, weights) -> tuple[str, ...]:
-    order = sorted(range(len(names)), key=lambda i: (-weights[i], names[i]))
-    return tuple(names[i] for i in order)
-
-
-def analogy_report(
-    systems, samples_list, log_priors=None
-) -> AnalogyReport:
+def analogy_report(systems, samples_list) -> AnalogyReport:
     """Estimate evidences and weights for a pool from per-system chains.
 
     Requires one sample set per system, all with the same draw count so the
@@ -366,8 +354,7 @@ def analogy_report(
     samples_list = list(samples_list)
     if len(systems) != len(samples_list) or not systems:
         raise DimensionError("need one non-empty sample set per system")
-    le = _hm_log_evidences(samples_list)
-    return AnalogyReport.from_evidences((s.name for s in systems), le, log_priors)
+    return AnalogyReport(tuple(s.name for s in systems), _hm_log_evidences(samples_list))
 
 
 def analogy_predict_cells(

@@ -111,18 +111,7 @@ def derive_seed(master: int, *parts) -> int:
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_STORED_COUNTS = (2, 5, 10, 100)
 
-# the settings of each scalar type, and the item type of each list setting
-_SETTING_TYPES = {
-    int: ("entity_count", "n_target_systems", "burn_in", "n_retained", "thinning",
-          "master_seed"),
-    float: ("test_fraction", "tau_lower", "tau_upper", "generation_gamma",
-            "generation_alpha"),
-    str: ("tau_mode",),
-    bool: ("include_target_in_pool", "emit_timing"),
-}
-_LIST_ITEM_TYPES = {
-    "observed_fractions": float, "stored_counts": int, "models": str, "class_range": int
-}
+_SCALAR_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
 
 
 def _typed(name: str, value, kind: type):
@@ -137,8 +126,18 @@ def _typed(name: str, value, kind: type):
     return kind(value)
 
 
-def _typed_list(name: str, value, kind: type) -> tuple:
-    """A list or tuple setting as a tuple of ``kind`` items; see `_typed`."""
+def _setting(name: str, value, annotation: str):
+    """``value`` as the setting ``name`` of the field type ``annotation`` (a
+    string, as every annotation in this module is), or a ConfigError naming
+    it.  ``str | None`` is a path or None; a ``tuple[...]`` setting is a list
+    or tuple whose items are checked by `_typed`."""
+    if annotation == "str | None":
+        if not isinstance(value, (str, Path, type(None))):
+            raise ConfigError(f"{name} must be a path, got {value!r}")
+        return value
+    if not annotation.startswith("tuple["):
+        return _typed(name, value, _SCALAR_TYPES[annotation])
+    kind = _SCALAR_TYPES[annotation.removeprefix("tuple[").split(",")[0]]
     if not isinstance(value, (list, tuple, np.ndarray)):
         raise ConfigError(f"{name} must be a list of {kind.__name__}, got {value!r}")
     return tuple(_typed(f"{name} item", v, kind) for v in value)
@@ -146,7 +145,9 @@ def _typed_list(name: str, value, kind: type) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything that determines an experiment run, master seed included."""
+    """Everything that determines an experiment run, master seed included.
+
+    Each setting is checked against its field's declared type."""
 
     entity_count: int = 30
     observed_fractions: tuple[float, ...] = DEFAULT_FRACTIONS
@@ -169,17 +170,8 @@ class ExperimentConfig:
     emit_timing: bool = False
 
     def __post_init__(self):
-        typed = {
-            name: _typed(name, getattr(self, name), kind)
-            for kind, names in _SETTING_TYPES.items()
-            for name in names
-        }
-        for name, kind in _LIST_ITEM_TYPES.items():
-            typed[name] = _typed_list(name, getattr(self, name), kind)
-        if not isinstance(self.systems_dir, (str, Path, type(None))):
-            raise ConfigError(f"systems_dir must be a path, got {self.systems_dir!r}")
-        for name, value in typed.items():
-            object.__setattr__(self, name, value)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _setting(f.name, getattr(self, f.name), f.type))
         if self.entity_count < 1:
             raise ConfigError(f"entity_count must be >= 1, got {self.entity_count}")
         fr = self.observed_fractions
@@ -265,6 +257,10 @@ class ResultRow:
     error: str = ""
     wall_seconds: float | None = None
 
+    def __post_init__(self):
+        if self.model not in VALID_MODELS:
+            raise ValueError(f"unknown model {self.model!r}; choose from {VALID_MODELS}")
+
 
 def evaluate(predictions, truths) -> float:
     """Held-out score: negative sum of log predictive probabilities.
@@ -310,13 +306,16 @@ class _HybridPayload:
     same arrays unless a validation slice picks tau.
     """
 
-    n_stored: int
     names: tuple[str, ...]
     components: np.ndarray
     log_evidences: np.ndarray
     truths: np.ndarray
     tau_components: np.ndarray
     tau_truths: np.ndarray
+
+    @property
+    def n_stored(self) -> int:
+        return len(self.names)
 
 
 def plan_rows(config: ExperimentConfig, target_names) -> list[RowTask]:
@@ -471,7 +470,7 @@ class _Cell:
             }
             return bits, preds, report, None
         log_ev = hybrid_log_evidences(chains, self.theory)
-        report = AnalogyReport.from_evidences((s.name for s in systems), log_ev[:-1])
+        report = AnalogyReport(tuple(s.name for s in systems), log_ev[:-1])
         comps = hybrid_component_predictions(chains, self.theory, systems, data, cells)
         tau_comps, tau_truths = comps, truths
         if self.validation_seed is not None:
@@ -480,9 +479,7 @@ class _Cell:
                 chains, self.theory, systems, data, tau_cells
             )
             tau_truths = _truths(data, tau_cells)
-        payload = _HybridPayload(
-            k, report.names, comps, log_ev, truths, tau_comps, tau_truths
-        )
+        payload = _HybridPayload(report.names, comps, log_ev, truths, tau_comps, tau_truths)
         if self.tau_bounds is None:
             return {"score": None}, None, report, payload
         bits, preds = _hybrid_bits(payload, _choose_tau([payload], self.tau_bounds))
@@ -492,8 +489,7 @@ class _Cell:
 def _choose_tau(payloads, bounds) -> float:
     """tau maximizing the mixture's summed log predictive on the payloads' tau cells.
 
-    ``bounds`` are optimize_tau's (lower, upper) on log10(tau); the tolerance
-    is always its default.
+    ``bounds`` are optimize_tau's (lower, upper) on log10(tau).
     """
     return optimize_tau(
         lambda tau: sum(
@@ -749,10 +745,7 @@ def parse_results_csv(text: str) -> list[ResultRow]:
             continue
         if len(rec) != len(header):
             raise ValueError(f"expected {len(header)} fields, got {len(rec)}")
-        row = ResultRow(**{n: p(v) for n, p, v in zip(header, parsers, rec)})
-        if row.model not in VALID_MODELS:
-            raise ValueError(f"unknown model {row.model!r}; choose from {VALID_MODELS}")
-        rows.append(row)
+        rows.append(ResultRow(**{n: p(v) for n, p, v in zip(header, parsers, rec)}))
     return rows
 
 

@@ -13,7 +13,7 @@ reaches a logarithm is first clamped to [PROB_EPS, 1 - PROB_EPS].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -150,25 +150,22 @@ class Partition:
     """A grouping of entities into dense, canonically labeled classes.
 
     Labels run 0..n_classes-1 with no gaps, every class is occupied, and
-    classes are numbered by their lowest member index.
+    classes are numbered by their lowest member index.  ``counts``, the
+    size of each class, is derived from the labels.
     """
 
     assignments: np.ndarray
-    counts: np.ndarray
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        z = np.array(self.assignments, dtype=np.int64)
-        counts = np.array(self.counts, dtype=np.int64)
+        z = _frozen_array(self.assignments, np.int64)
         if z.ndim != 1 or z.size == 0:
             raise DimensionError("assignments must be a non-empty 1-d vector")
-        k = counts.size
-        if z.min() < 0 or z.max() != k - 1:
-            raise DimensionError("class labels must be dense, starting at 0")
+        if z.min() < 0:
+            raise DimensionError("class labels must be nonnegative")
+        counts = np.bincount(z)
         if (counts < 1).any():
             raise ValueError("every class must be occupied")
-        if not np.array_equal(np.bincount(z, minlength=k), counts):
-            raise ValueError("counts inconsistent with assignments")
-        z.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "assignments", z)
         object.__setattr__(self, "counts", counts)
@@ -176,8 +173,7 @@ class Partition:
     @classmethod
     def from_assignments(cls, labels) -> "Partition":
         """Build a canonical partition from any label vector."""
-        z = canonical_labels(labels)
-        return cls(z, np.bincount(z))
+        return cls(canonical_labels(labels))
 
     @property
     def n_entities(self) -> int:

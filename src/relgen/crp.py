@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-from .core import DimensionError, Partition, canonical_labels
+from .core import DimensionError, Partition
 
 
 def crp_assignment_probs(counts, gamma: float) -> np.ndarray:
@@ -84,4 +84,4 @@ def sample_partition(n_entities: int, gamma: float, rng: np.random.Generator) ->
             counts.append(1.0)
         else:
             counts[choice] += 1.0
-    return Partition(canonical_labels(labels), np.bincount(labels))
+    return Partition(labels)

@@ -83,24 +83,19 @@ _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 
 
 def optimize_tau(
-    score_fn,
-    lower: float = TAU_LOG10_LOWER,
-    upper: float = TAU_LOG10_UPPER,
-    tol: float = TAU_TOL,
+    score_fn, lower: float = TAU_LOG10_LOWER, upper: float = TAU_LOG10_UPPER
 ) -> float:
     """Maximize a score over tau by Brent's method on log10(tau).
 
     ``lower``/``upper`` bound log10(tau); ``score_fn`` receives tau itself.
     Golden-section steps with parabolic-interpolation acceleration shrink the
-    bracket until its width drops below ``tol``; the search then returns the
-    best of the interior optimum and the two interval endpoints, so a
-    monotone score yields the bound exactly.  Deterministic; a non-finite
-    score raises an OptimizationError carrying the offending tau.
+    bracket until its width drops below the fixed tolerance ``TAU_TOL``; the
+    search then returns the best of the interior optimum and the two interval
+    endpoints, so a monotone score yields the bound exactly.  Deterministic; a
+    non-finite score raises an OptimizationError carrying the offending tau.
     """
     if not (np.isfinite(lower) and np.isfinite(upper) and lower < upper):
         raise ValueError(f"need finite lower < upper, got [{lower}, {upper}]")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
 
     def g(log_tau: float) -> float:
         tau = 10.0 ** log_tau
@@ -115,10 +110,10 @@ def optimize_tau(
     d = e = 0.0
     tiny = np.sqrt(np.finfo(float).eps)
     for _ in range(1000):
-        if (b - a) < tol:
+        if (b - a) < TAU_TOL:
             break
         m = 0.5 * (a + b)
-        tol1 = tiny * abs(x) + tol / 10.0
+        tol1 = tiny * abs(x) + TAU_TOL / 10.0
         golden_step = True
         if abs(e) > tol1:
             # try a parabola through (x, fx), (w, fw), (v, fv)

@@ -111,7 +111,7 @@ class _ChainState:
         return self.counts[:, :-1, :-1]
 
     def to_partition(self) -> Partition:
-        return Partition.from_assignments(canonical_labels(self.z))
+        return Partition.from_assignments(self.z)
 
 
 @lru_cache(maxsize=16)

@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import chisquare
 
 from relgen import (
+    AnalogyReport,
     ConfigError,
     DegenerateWeightsError,
+    DimensionError,
     McmcSchedule,
     RelationData,
     StoredSystem,
@@ -362,6 +364,18 @@ def test_report_ranking_and_validation():
     uneven = [chains[0], run_stored_chain(data, pool[1], short)]
     with pytest.raises(ConfigError):
         analogy_report(pool, uneven)
+
+
+def test_report_derives_weights_and_breaks_ties_by_name():
+    le = [0.0, 0.0, -1.0]
+    report = AnalogyReport(("b", "a", "c"), le)
+    assert report.ranking == ("a", "b", "c")
+    assert report.best == "a"
+    assert_array_equal(report.weights, analogy_weights(le))
+    with pytest.raises(ConfigError):
+        AnalogyReport(("a", "a"), [0.0, -1.0])
+    with pytest.raises(DimensionError):
+        AnalogyReport(("a", "b"), [0.0, -1.0, -2.0])
 
 
 def test_predict_cells_is_weighted_mixture():

@@ -251,9 +251,18 @@ def test_results_csv_rejects_foreign_header():
 
 
 def test_results_csv_rejects_unknown_model():
-    text = emit_results_csv([replace(sample_rows()[0], model="theory")])
+    text = emit_results_csv(sample_rows()[:1]).replace(",hybrid,", ",theory,")
     with pytest.raises(ValueError, match="unknown model 'theory'"):
         parse_results_csv(text)
+
+
+def test_result_row_rejects_unknown_model():
+    # summarize used to meet such a row with a bare KeyError
+    with pytest.raises(ValueError, match="unknown model 'x'"):
+        summarize([
+            ResultRow(target_system="t", model="x", n_stored=None,
+                      observed_fraction=0.5, score=1.0, n_test=1)
+        ])
 
 
 def test_emit_is_deterministic():
@@ -391,6 +400,16 @@ def test_run_experiment_keeps_errors_per_row():
         ("irm", None), ("analogy", 2), ("hybrid", 2)
     }
     assert len(fine) == 3 * 2 * 3
+
+
+def test_error_row_bytes_are_pinned():
+    # the pool of a target holds only the 2 other systems, so K = 3 fails
+    config = tiny_config(models=("analogy",), stored_counts=(3,), observed_fractions=(0.2,))
+    lines = emit_results_csv(run_experiment(config)).splitlines()
+    assert lines[1] == (
+        "synthetic-000,analogy,3,0.2,,0,,,,13168316344630658888,error,"
+        "ConfigError: pool size 3 requested but only 2 systems available"
+    )
 
 
 def test_cell_runs_each_chain_once_and_pairs_its_rows(monkeypatch):
@@ -594,7 +613,7 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
     not_results = tmp_path / "not-results.csv"
     not_results.write_text("alpha,beta\n1,2\n")
     foreign_model = tmp_path / "foreign-model.csv"
-    foreign_model.write_text(emit_results_csv([replace(sample_rows()[1], model="x")]))
+    foreign_model.write_text(emit_results_csv(sample_rows()[1:]).replace(",irm,", ",x,"))
     doc = json.loads(dataset.read_text())
     doc["test_idx"] = doc["test_idx"][:1] * 2
     repeated_test = tmp_path / "repeated-test.json"

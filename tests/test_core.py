@@ -103,10 +103,9 @@ def test_partition_validation_and_canonical_form():
     assert p.counts.tolist() == [2, 1, 1]
     assert p.n_classes == 3
     assert p.key() == (0, 1, 0, 2)
+    assert Partition(np.array([0, 1, 0])).counts.tolist() == [2, 1]
     with pytest.raises(ValueError):
-        Partition(np.array([0, 2]), np.array([1, 0, 1]))  # label 1 unused
-    with pytest.raises(ValueError):
-        Partition(np.array([0, 0]), np.array([1]))  # counts wrong
+        Partition(np.array([0, 2]))  # label 1 unused
 
 
 def test_stored_system_validation():
