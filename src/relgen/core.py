@@ -163,9 +163,10 @@ class Partition:
             raise DimensionError("assignments must be a non-empty 1-d vector")
         if z.min() < 0:
             raise DimensionError("class labels must be nonnegative")
+        # canonical: starts at 0, each label at most 1 above all before it (no gaps)
+        if z[0] != 0 or (z[1:] > np.maximum.accumulate(z)[:-1] + 1).any():
+            raise ValueError("class labels must be numbered in order of first appearance")
         counts = np.bincount(z)
-        if (counts < 1).any():
-            raise ValueError("every class must be occupied")
         counts.setflags(write=False)
         object.__setattr__(self, "assignments", z)
         object.__setattr__(self, "counts", counts)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import betaln
+from scipy.special import gammaln
 
 from .core import (
     HYPER_MAX,
@@ -74,15 +74,18 @@ class McmcSchedule:
 class _ChainState:
     """Working partition plus per-class-pair observed link/non-link counts.
 
-    ``counts`` is the stacked (2, k+1, k+1) link/non-link table; its last row
-    and column are an always-empty fresh class, so a birth is one pad.
+    ``counts`` is the stacked (2, k+1, k+1) link/non-link table, whole
+    numbers in float64; its last row and column are an always-empty fresh
+    class, so a birth copies it into a zeroed table one slot larger.
     ``log_seats`` is log [class sizes..., gamma].  ``onehot`` has a column
     for every class the chain can open and, last, a row of ones that gathers
     each entity's self-cell into every class (an entity's own one-hot row
     is zero while its tallies are gathered, so only that row reads it).
+    ``lgamma`` holds gammaln(alpha + j) and gammaln(2 alpha + j) for every
+    count j a block can hold, at ``lgamma_alpha``, the last one tabulated.
     """
 
-    __slots__ = ("z", "sizes", "log_seats", "counts", "onehot", "tallies")
+    __slots__ = ("z", "sizes", "log_seats", "counts", "onehot", "tallies", "lgamma", "lgamma_alpha")
 
     def __init__(self, data: RelationData, partition: Partition):
         if partition.n_entities != data.n_entities:
@@ -105,6 +108,15 @@ class _ChainState:
         self.tallies[:, 1::3, :n] = M.transpose(2, 0, 1)
         self.tallies[:, 2::3, :n] = self.tallies[:, 0::3, :n] + self.tallies[:, 1::3, :n]
         self.tallies[:, 2::3, n] = np.diagonal(M, axis1=1, axis2=2).T
+        self.lgamma = np.zeros((2, data.n_observed + 1))  # sized here, filled by tabulate
+        self.lgamma_alpha = None
+
+    def tabulate(self, alpha: float) -> None:
+        """Point ``lgamma`` at alpha, rebuilding it only if alpha changed."""
+        if alpha != self.lgamma_alpha:
+            j = np.arange(self.lgamma.shape[1])
+            self.lgamma = gammaln(np.stack([alpha + j, 2.0 * alpha + j]))
+            self.lgamma_alpha = alpha
 
     @property
     def class_counts(self) -> np.ndarray:
@@ -119,22 +131,29 @@ def _kernel_layout(slots: int) -> tuple:
     """Index arrays of the sweep kernel for k = slots - 1 classes plus the
     fresh one.
 
-    The kernel takes one ``betaln`` over a (2, 3k^2 + k + 2) argument array.
-    Each entry is alpha plus a class-pair count, picked from the flat counts
-    by ``gather``, plus one of the detached entity's tallies, picked by
-    ``spread`` (the fresh slot's row tally is always 0).  The entries, for
-    classes a and b:
+    The kernel scores a (2, 3k^2 + k + 2) array of link/non-link counts.
+    Each entry is a class-pair count, picked from the flat counts by
+    ``gather``, plus one of the detached entity's tallies, picked by
+    ``spread``.  The entries, for classes a and b:
 
     - base (a, b): the block's counts;
     - row (a, b): the counts plus row tally b, or the joint tally on the
       diagonal (the entity placed in a);
     - col (a, b), a != b: block (b, a)'s counts plus column tally b;
-    - fresh: each row tally, each column tally, the self-cell, an empty block.
+    - fresh: the fresh class's (empty) row blocks plus each row tally, its
+      column blocks plus each column tally, its own block plus the
+      self-cell, and an empty block.
 
     Row c of ``order`` lists candidate c's entries, added ones first, then
     the ones it takes away (base (c, .) and (., c), or 2k + 1 empty blocks),
     each half padded with the empty block; so ``values[order] @ signs`` is
-    every candidate's collapsed log-likelihood change.
+    every candidate's collapsed log-likelihood change.  The added half is
+    also every block that changes when the entity joins c, as it reads
+    afterwards (the padding reads the empty block as 0).  ``written[c]``
+    lists those entries in both planes, ``put[c]`` their flat positions in
+    the counts and ``unspread[c]`` the tallies they add, so attaching writes
+    ``entries[written[c]]`` at ``put[c]`` and detaching subtracts
+    ``tallies[unspread[c]]`` there.
     """
     k = slots - 1
     kk = k * k
@@ -143,7 +162,8 @@ def _kernel_layout(slots: int) -> tuple:
     classes = np.arange(k)
     col_tally, joint_tally = slots, 2 * slots
     gather = np.r_[
-        a * slots + b, a * slots + b, b[off] * slots + a[off], [k * slots + k] * (2 * k + 2)
+        a * slots + b, a * slots + b, b[off] * slots + a[off],
+        k * slots + classes, classes * slots + k, [k * slots + k] * 2,
     ]
     spread = np.r_[
         np.full(kk, k), np.where(a == b, joint_tally + a, b), col_tally + b[off],
@@ -154,13 +174,14 @@ def _kernel_layout(slots: int) -> tuple:
     order = np.full((slots, 2 * half), fresh0 + half)
     for c in range(k):
         order[c, :half - 2] = np.r_[row0 + c * k + classes, col0 + c * (k - 1) + classes[:-1]]
-        order[c, half:-2] = np.r_[c * k + classes, np.delete(classes, c) * k + c]
+        order[c, half:-2] = np.r_[c * k + classes, classes[classes != c] * k + c]
     order[k, :half] = fresh0 + np.arange(half)
+    gather = np.stack([gather, gather + slots * slots])
+    spread = np.stack([spread, spread + 3 * slots])
+    written = np.hstack([order[:, :half], order[:, :half] + gather.shape[1]])
     layout = (
-        np.stack([gather, gather + slots * slots]),
-        np.stack([spread, spread + 3 * slots]),
-        order,
-        np.repeat([1.0, -1.0], half),
+        gather, spread, order, np.repeat([1.0, -1.0], half),
+        written, gather.take(written), spread.take(written),
     )
     for shared in layout:
         shared.setflags(write=False)
@@ -175,42 +196,39 @@ def _detach(state: _ChainState, i: int) -> np.ndarray:
     old = state.z[i]
     state.sizes[old] -= 1
     state.onehot[i, old] = 0.0
+    slots = state.counts.shape[1]
     closed = not state.sizes[old]
     if closed:
         # the class's row and column hold only the entity's own cells
-        slots = state.counts.shape[1]
-        state.counts = np.delete(np.delete(state.counts, old, 1), old, 2)
-        state.log_seats = np.delete(state.log_seats, old)
+        keep = np.arange(slots - 1)
+        keep[old:] += 1
+        state.counts = state.counts.take(keep, 1).take(keep, 2)
+        state.log_seats = state.log_seats.take(keep)
         del state.sizes[old]
         state.onehot[:, old:slots - 1] = state.onehot[:, old + 1:slots]
         state.z = [c - (c > old) for c in state.z]
-    tallies = state.tallies[i].dot(state.onehot[:, :state.counts.shape[1]])
+        slots -= 1
+    tallies = state.tallies[i].dot(state.onehot[:, :slots])
     if not closed:
-        # updated through named views: `counts[:, old] -= x` would also
-        # write each view back into the counts, at a cost per entity
-        row = state.counts[:, old]
-        row -= tallies[0::3]
-        col = state.counts[:, :, old]
-        col -= tallies[1::3]
-        cell = state.counts[:, old, old]
-        cell -= tallies[2::3, -1]
+        # the blocks that attaching to old would write, less the tallies
+        put, unspread = _kernel_layout(slots)[5:]
+        state.counts.reshape(-1)[put[old]] -= tallies.take(unspread[old])
         state.log_seats[old] = math.log(state.sizes[old])
     return tallies
 
 
-def _attach(state: _ChainState, i: int, choice: int, tallies: np.ndarray) -> None:
-    slots = tallies.shape[1]
+def _attach(state: _ChainState, i: int, choice: int, entries: np.ndarray) -> None:
+    """Place entity i in class ``choice`` by writing back the kernel's own
+    entries for it; a fresh choice becomes a class and a new fresh slot opens."""
+    slots = state.counts.shape[1]
+    written, put = _kernel_layout(slots)[4:6]
+    state.counts.reshape(-1).put(put[choice], entries.take(written[choice]))
     if choice == slots - 1:
-        # the fresh slot becomes a class; open a new one behind it
-        state.counts = np.pad(state.counts, ((0, 0), (0, 1), (0, 1)))
+        grown = np.zeros((2, slots + 1, slots + 1))
+        grown[:, :slots, :slots] = state.counts
+        state.counts = grown
         state.log_seats = np.append(state.log_seats, 0.0)
         state.sizes.append(0)
-    row = state.counts[:, choice, :slots]
-    row += tallies[0::3]
-    col = state.counts[:, :slots, choice]
-    col += tallies[1::3]
-    cell = state.counts[:, choice, choice]
-    cell += tallies[2::3, -1]
     state.sizes[choice] += 1
     state.log_seats[choice] = math.log(state.sizes[choice])
     state.onehot[i, choice] = 1.0
@@ -233,25 +251,32 @@ def _sample_logweights(logw: list, u: float) -> int:
 
 
 def _detached_logweights(state: _ChainState, i: int, hp: Hyperparameters):
-    """Detach entity i; return its conditional log-weights and its tallies.
+    """Detach entity i; return its conditional log-weights and the kernel's
+    count entries, which ``_attach`` writes back.
 
-    Every candidate's Beta arguments go through one ``betaln`` call, and one
-    gather and one dot fold them into the collapsed log-likelihood changes.
+    ``state.lgamma`` must be tabulated at hp.alpha.  Each entry's log Beta
+    function, ln B(alpha + n1, alpha + n0), is three gathers from the
+    tables, and one gather and one dot fold them into the collapsed
+    log-likelihood changes.
     """
     tallies = _detach(state, i)
-    gather, spread, order, signs = _kernel_layout(tallies.shape[1])
-    args = (state.counts + hp.alpha).take(gather)
-    args += tallies.take(spread)
+    gather, spread, order, signs = _kernel_layout(tallies.shape[1])[:4]
+    entries = state.counts.take(gather)
+    entries += tallies.take(spread)
+    n1, n0 = entries.astype(np.intp)
+    t1, t2 = state.lgamma
+    values = t1.take(n1) + t1.take(n0) - t2.take(n1 + n0)
     state.log_seats[-1] = math.log(hp.gamma)
-    return betaln(*args).take(order).dot(signs) + state.log_seats, tallies
+    return values.take(order).dot(signs) + state.log_seats, entries
 
 
 def _sweep(state: _ChainState, hp: Hyperparameters, rng) -> None:
     """Reassign every entity in index order from its collapsed conditional."""
+    state.tabulate(hp.alpha)
     uniforms = rng.random(len(state.z)).tolist()
     for i, u in enumerate(uniforms):
-        logw, tallies = _detached_logweights(state, i, hp)
-        _attach(state, i, _sample_logweights(logw.tolist(), u), tallies)
+        logw, entries = _detached_logweights(state, i, hp)
+        _attach(state, i, _sample_logweights(logw.tolist(), u), entries)
 
 
 def conditional_class_logweights(
@@ -267,6 +292,7 @@ def conditional_class_logweights(
             f"entity {entity} out of range for {data.n_entities} entities"
         )
     state = _ChainState(data, partition)
+    state.tabulate(hp.alpha)
     return _detached_logweights(state, entity, hp)[0]
 
 

@@ -108,6 +108,19 @@ def test_partition_validation_and_canonical_form():
         Partition(np.array([0, 2]))  # label 1 unused
 
 
+def test_partition_rejects_labels_that_are_not_canonical():
+    # one grouping, one key: labels must already be in first-appearance order
+    assert Partition.from_assignments([1, 0]).key() == (0, 1)
+    for labels in ([1, 0], [0, 0, 2, 1], [1], [0, 1, 3, 2, 2]):
+        with pytest.raises(ValueError, match="order of first appearance"):
+            Partition(np.array(labels))
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        labels = rng.integers(0, 4, size=int(rng.integers(1, 9)))
+        canonical = Partition.from_assignments(labels).assignments
+        assert Partition(canonical).key() == tuple(canonical.tolist())
+
+
 def test_stored_system_validation():
     link = np.array([[0.5, 0.2], [0.8, 0.5]])
     StoredSystem("ok", link, np.array([0.5, 0.5]))

@@ -21,9 +21,11 @@ from relgen import (
     irm_predict_cells,
     mh_update_alpha,
     mh_update_gamma,
+    pair_counts,
     run_irm_chain,
     stored_component_predictions,
 )
+from relgen.core import HYPER_MAX, HYPER_MIN
 
 from oracles import (
     crp_log_prob_sequential,
@@ -219,6 +221,81 @@ def test_sweep_conditionals_with_self_cells(monkeypatch, cell, observed):
     part = Partition.from_assignments(rng.integers(0, 3, size=6))
     for seed in range(3):
         part = assert_sweep_matches_reference(monkeypatch, data, part, hp, seed)[0]
+
+
+@pytest.mark.parametrize("alpha", [HYPER_MIN, HYPER_MAX])
+def test_sweep_conditionals_at_alpha_bounds(monkeypatch, alpha):
+    rng = np.random.default_rng(31)
+    data = random_data(rng, 7)
+    part = Partition.from_assignments(rng.integers(0, 3, size=7))
+    for seed in range(3):
+        part = assert_sweep_matches_reference(
+            monkeypatch, data, part, Hyperparameters(alpha=alpha, gamma=2.0), seed
+        )[0]
+
+
+def test_sweep_conditionals_reach_the_last_table_entry(monkeypatch):
+    # fully observed and one class: re-attaching an entity fills a block
+    # with every observed cell, the last index of the log-gamma tables
+    n = 6
+    data = RelationData(n, np.random.default_rng(4).integers(0, 2, (n, n)), np.ones((n, n), bool))
+    largest = []
+    attach = irm._attach
+
+    def record(state, i, choice, entries):
+        largest.append(entries.sum(0).max())
+        attach(state, i, choice, entries)
+
+    monkeypatch.setattr(irm, "_attach", record)
+    for alpha in (HYPER_MIN, 1.0, HYPER_MAX):
+        hp = Hyperparameters(alpha=alpha, gamma=HYPER_MIN)
+        assert_sweep_matches_reference(monkeypatch, data, Partition.from_assignments([0] * n), hp)
+    assert max(largest) == data.n_observed == n * n
+
+
+def _run_sweeps_checking_counts(monkeypatch, data, part, hp, sweeps):
+    """Sweep, checking after every attach that the counts equal a recount
+    and that the fresh slot is empty; returns the births and deaths seen."""
+    events = {"births": 0, "deaths": 0}
+    detach, attach = irm._detach, irm._attach
+
+    def checked_detach(state, i):
+        events["deaths"] += state.sizes[state.z[i]] == 1
+        return detach(state, i)
+
+    def checked_attach(state, i, choice, entries):
+        events["births"] += choice == state.counts.shape[1] - 1
+        attach(state, i, choice, entries)
+        k = len(state.sizes)
+        assert state.counts.shape == (2, k + 1, k + 1)
+        assert_array_equal(state.class_counts, pair_counts(data, state.z, k))
+        assert not state.counts[:, k].any() and not state.counts[:, :, k].any()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(irm, "_detach", checked_detach)
+        patch.setattr(irm, "_attach", checked_attach)
+        for seed in range(sweeps):
+            part = gibbs_sweep(data, part, hp, np.random.default_rng(seed))
+    return events
+
+
+def test_counts_stay_exact_through_births_and_deaths(monkeypatch):
+    rng = np.random.default_rng(17)
+    sparse = random_data(rng, 12, observed_fraction=0.15)
+    part = Partition.from_assignments(rng.integers(0, 3, size=12))
+    hp = Hyperparameters(alpha=0.5, gamma=20.0)
+    events = _run_sweeps_checking_counts(monkeypatch, sparse, part, hp, 6)
+    assert events["births"] > 0 and events["deaths"] > 0
+    alone = RelationData(1, [[1]], [[True]])
+    events = _run_sweeps_checking_counts(
+        monkeypatch, alone, Partition.from_assignments([0]), hp, 3
+    )
+    assert events == {"births": 3, "deaths": 3}
+    empty = RelationData(5, np.ones((5, 5), np.int8), np.zeros((5, 5), bool))
+    events = _run_sweeps_checking_counts(
+        monkeypatch, empty, Partition.from_assignments([0, 1, 0, 2, 1]), hp, 4
+    )
+    assert events["births"] > 0 and events["deaths"] > 0
 
 
 def test_single_entity_kernel_detailed_balance():
