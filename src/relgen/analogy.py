@@ -57,12 +57,12 @@ def _sweep_tables(data: RelationData, system: StoredSystem):
 
 
 def _stored_table(D, G, B, z) -> np.ndarray:
-    """Every entity's log conditional over the classes, as an n x m table."""
+    """Every entity's log conditional over the classes, as an n x m table;
+    labelings stacked along leading axes of ``z`` give one table each."""
     n, m = B.shape
-    onehot = np.zeros((n, m))
-    onehot[np.arange(n), z] = 1.0
-    # tallies[j, (k, b)]: entity j's tally k over its neighbours in class b
-    tallies = (D.reshape(n, 4 * n).T @ onehot).reshape(n, 4 * m)
+    onehot = np.eye(m).take(z, 0)
+    # tallies[..., j, (k, b)]: entity j's tally k over its neighbours in class b
+    tallies = (D.reshape(n, 4 * n).T @ onehot).reshape(*z.shape, 4 * m)
     return tallies @ G.reshape(4 * m, m) + B
 
 
@@ -75,18 +75,24 @@ def _sweep_stored(z, D, G, B, rng=None) -> None:
     """Reassign every entity in index order, in place.
 
     With ``rng``, each entity is Gibbs-drawn from its conditional; without,
-    it takes the conditional's first maximum (the greedy init's sweep).  The
-    table is rebuilt once per sweep and touched only when an entity moves.
+    it takes the conditional's first maximum (the greedy init's sweep) of
+    each labeling stacked along leading axes of ``z``.  The table is rebuilt
+    once per sweep, since one carried across sweeps drifts in its last bits
+    and could flip an argmax tie, and is touched only when an entity moves.
     """
     L = _stored_table(D, G, B, z)
+    if rng is None:
+        Z, L = z.reshape(-1, z.shape[-1]), L.reshape(-1, *B.shape)
+        for i in range(Z.shape[1]):
+            best = L[:, i].argmax(1)
+            for r in (best != Z[:, i]).nonzero()[0]:
+                _move_entity(L[r], D, G, i, Z[r, i], best[r])
+            Z[:, i] = best
+        return
     labels = z.tolist()
-    uniforms = rng.random(len(labels)).tolist() if rng is not None else None
+    uniforms = rng.random(len(labels)).tolist()
     for i, a in enumerate(labels):
-        row = L[i].tolist()
-        if uniforms is None:
-            b = row.index(max(row))
-        else:
-            b = _sample_logweights(row, uniforms[i])
+        b = _sample_logweights(L[i].tolist(), uniforms[i])
         if b != a:
             _move_entity(L, D, G, i, a, b)
             labels[i] = b
@@ -112,11 +118,12 @@ def gibbs_sweep_stored(
 
 
 def sample_stored_assignments(
-    system: StoredSystem, n_entities: int, rng: np.random.Generator
+    system: StoredSystem, n_entities: int | tuple[int, int], rng: np.random.Generator
 ) -> np.ndarray:
     """Draw entity classes independently from the system's class prior; a
     uniform that rounding puts past the last cumulative sum takes the last
-    class with prior mass."""
+    class with prior mass.  ``n_entities`` may be a shape (R, n): one
+    ``rng.random`` call then draws the stream of R draws of n entities."""
     cum = np.cumsum(system.class_probs)
     z = np.searchsorted(cum, rng.random(n_entities), side="right")
     last_live = np.flatnonzero(system.class_probs > 0.0)[-1]
@@ -129,15 +136,18 @@ def _swap_moves(counts, sizes, ll, tables, a, b):
 
     Returns each swap's class permutation, log-likelihood, and log-joint gain
     over the current state (likelihood change plus class-prior delta).
+    States stacked along the middle axes of ``counts`` (2 x … x m x m),
+    ``sizes`` (… x m) and ``ll`` (… x 1) are scored against every swap.
     """
     log_prior, log_tables = tables[3:]
-    perms = np.arange(sizes.size)[None].repeat(a.size, 0)
+    perms = np.arange(sizes.shape[-1])[None].repeat(a.size, 0)
     rows = np.arange(a.size)
     perms[rows, a] = b
     perms[rows, b] = a
-    swapped = counts[:, perms[:, :, None], perms[:, None, :]]
+    # C order keeps each m x m sum contiguous, as it is for one state
+    swapped = np.ascontiguousarray(counts[..., perms[:, :, None], perms[:, None, :]])
     new_ll = _loglik_from_counts(*swapped, log_tables)
-    prior_delta = (sizes[a] - sizes[b]) * (log_prior[b] - log_prior[a])
+    prior_delta = (sizes[..., a] - sizes[..., b]) * (log_prior[b] - log_prior[a])
     return perms, new_ll, new_ll - ll + prior_delta
 
 
@@ -167,37 +177,39 @@ INIT_RESTARTS = 8
 INIT_GREEDY_SWEEPS = 6
 
 
-def _greedy_candidate(data, system, tables, live, rng) -> tuple[np.ndarray, float]:
-    """One initialization candidate: a prior draw refined by argmax sweeps.
+def _greedy_candidates(data, system, tables, live, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The initialization candidates: prior draws refined by argmax sweeps.
 
     Iterated conditional modes plus improving class swaps converge to a
     local optimum of the joint in a handful of sweeps; the caller keeps the
-    best candidate across restarts.  After each sweep the live class pairs
-    are tried in (a, b) order: every remaining swap is scored in one batch,
-    the first improving one is taken, and the scan resumes after it.
-    Returns the state and its log joint.
+    best.  The ``INIT_RESTARTS`` draws are refined as one stack.  After each
+    sweep the live class pairs are tried in (a, b) order: every remaining
+    swap is scored in one batch, the first improving one is taken, and the
+    scan resumes after it; one batch scores every candidate's first scan.
+    Returns the (R x n) states and their log joints.
     """
     D, G, B, log_prior, log_tables = tables
     m = system.n_classes
     pairs = live[np.array(np.triu_indices(live.size, 1))]
-    z = sample_stored_assignments(system, data.n_entities, rng)
+    Z = sample_stored_assignments(system, (INIT_RESTARTS, data.n_entities), rng)
     for _ in range(INIT_GREEDY_SWEEPS):
-        _sweep_stored(z, D, G, B)
-        counts = pair_counts(data, z, m)
-        ll = float(_loglik_from_counts(*counts, log_tables))
-        sizes = np.bincount(z, minlength=m)
-        start = 0
-        while start < pairs.shape[1]:
-            perms, new_ll, gains = _swap_moves(counts, sizes, ll, tables, *pairs[:, start:])
-            better = np.flatnonzero(gains > 0)
-            if not better.size:
-                break
-            perm = perms[better[0]]
-            z, sizes, ll = perm[z], sizes[perm], float(new_ll[better[0]])
-            counts = counts[:, perm[:, None], perm]
-            start += int(better[0]) + 1
-    joint = float(ll + log_prior[z].sum())
-    return z, joint
+        _sweep_stored(Z, D, G, B)
+        counts = pair_counts(data, Z, m).swapaxes(0, 1)
+        lls = _loglik_from_counts(*counts, log_tables)
+        sizes = (Z[:, :, None] == np.arange(m)).sum(1)
+        batch = _swap_moves(counts, sizes, lls[:, None], tables, *pairs)
+        for r in np.flatnonzero((batch[2] > 0).any(1)):
+            # a candidate that takes a swap scans on alone, from after it
+            perms, new_ll, gains = batch[0], batch[1][r], batch[2][r]
+            z, c, s, start = Z[r], counts[:, r], sizes[r], 0
+            while (better := np.flatnonzero(gains > 0)).size:
+                perm = perms[better[0]]
+                z, s, lls[r] = perm[z], s[perm], new_ll[better[0]]
+                c = c[:, perm[:, None], perm]
+                start += int(better[0]) + 1
+                perms, new_ll, gains = _swap_moves(c, s, lls[r], tables, *pairs[:, start:])
+            Z[r] = z
+    return Z, lls + log_prior[Z].sum(1)
 
 
 def run_stored_chain(
@@ -221,11 +233,8 @@ def run_stored_chain(
     D, G, B, _, log_tables = tables
     m = system.n_classes
     live = np.flatnonzero(system.class_probs > 0.0)
-    z, best = _greedy_candidate(data, system, tables, live, rng)
-    for _ in range(INIT_RESTARTS - 1):
-        cand, joint = _greedy_candidate(data, system, tables, live, rng)
-        if joint > best:
-            z, best = cand, joint
+    candidates, joints = _greedy_candidates(data, system, tables, live, rng)
+    z = candidates[np.argmax(joints)]
     retained = []
     for sweep in range(schedule.total_sweeps):
         _sweep_stored(z, D, G, B, rng)

@@ -360,7 +360,8 @@ def _log_tables(link_probs) -> tuple[np.ndarray, np.ndarray]:
 
 def _loglik_from_counts(ones, zeros, log_tables):
     """bernoulli_loglik from class-pair link and non-link counts.  Leading
-    batch axes are kept; each m x m sum runs in the same order as unbatched."""
+    batch axes are kept; each m x m sum runs in the same order as unbatched
+    when the counts are in C order (a fancy-indexed gather may not be)."""
     log_link, log_nolink = log_tables
     return (ones * log_link + zeros * log_nolink).sum(axis=(-2, -1))
 

@@ -18,19 +18,24 @@ from relgen import (
     analogy_weights,
     gibbs_sweep_stored,
     harmonic_mean_evidence,
+    pair_counts,
     predictive_prob,
     run_stored_chain,
     sample_stored_assignments,
     stored_component_predictions,
 )
+from relgen import analogy
 from relgen.analogy import (
     INIT_GREEDY_SWEEPS,
-    _greedy_candidate,
+    INIT_RESTARTS,
+    _greedy_candidates,
     _move_entity,
     _stored_table,
+    _swap_moves,
     _sweep_stored,
     _sweep_tables,
 )
+from relgen.core import _loglik_from_counts
 from relgen.datagen import generate_synthetic_system, make_split, simulate_interactions
 from relgen.datagen import SplitSpec
 from relgen.irm import _sample_logweights
@@ -61,6 +66,11 @@ def edge_system():
     # exact 0 and 1 link probabilities between live classes
     link = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.3], [0.2, 0.9, 0.0]])
     return StoredSystem("edge", link, np.array([0.3, 0.3, 0.4]))
+
+
+def tie_system():
+    # every conditional is flat, so each argmax is a tie
+    return StoredSystem("tie", np.full((3, 3), 0.5), np.full(3, 1 / 3))
 
 
 def random_gap_system(rng, m):
@@ -151,8 +161,7 @@ def test_gibbs_sweep_stored_keeps_rng_stream(system):
 
 def test_argmax_sweep_takes_first_maximum():
     data = self_cell_data(np.random.default_rng(25), 30)
-    tie = StoredSystem("tie", np.full((3, 3), 0.5), np.full(3, 1 / 3))
-    for system in (gap_system(), tie):
+    for system in (gap_system(), tie_system()):
         z = sample_stored_assignments(system, 30, np.random.default_rng(26))
         want = z.copy()
         for i in range(30):
@@ -171,7 +180,8 @@ def test_draw_never_returns_zero_weight_index():
 
 def test_greedy_candidate_matches_nested_swap_scan():
     # the batched scan must take the same swaps, in the same order, as the
-    # nested loop over live class pairs scored by the full log joint
+    # nested loop over live class pairs scored by the full log joint; every
+    # candidate is checked, each refined from its own prior draw
     rng = np.random.default_rng(31)
     swapped = empty = zero_prior = 0
     for trial in range(60):
@@ -181,19 +191,131 @@ def test_greedy_candidate_matches_nested_swap_scan():
         live = np.flatnonzero(system.class_probs > 0.0)
         tables = _sweep_tables(data, system)
         seeded = np.random.default_rng(trial)
-        got, joint = _greedy_candidate(data, system, tables, live, seeded)
-        want = sample_stored_assignments(system, n, np.random.default_rng(trial))
-        for _ in range(INIT_GREEDY_SWEEPS):
-            for i in range(n):
-                want[i] = np.argmax(stored_conditional(data, system, want, i))
-            empty += np.bincount(want, minlength=m)[live].min() == 0
-            before = want.copy()
-            want, want_joint = greedy_swap_reference(data, system, want)
-            swapped += not np.array_equal(before, want)
+        got, joints = _greedy_candidates(data, system, tables, live, seeded)
+        assert got.shape == (INIT_RESTARTS, n) and joints.shape == (INIT_RESTARTS,)
+        draws = np.random.default_rng(trial)
+        for r in range(INIT_RESTARTS):
+            want = sample_stored_assignments(system, n, draws)
+            for _ in range(INIT_GREEDY_SWEEPS):
+                for i in range(n):
+                    want[i] = np.argmax(stored_conditional(data, system, want, i))
+                empty += np.bincount(want, minlength=m)[live].min() == 0
+                before = want.copy()
+                want, want_joint = greedy_swap_reference(data, system, want)
+                swapped += not np.array_equal(before, want)
+            assert_array_equal(got[r], want)
+            assert_allclose(joints[r], want_joint, rtol=1e-12)
         zero_prior += live.size < m
-        assert_array_equal(got, want)
-        assert_allclose(joint, want_joint, rtol=1e-12)
     assert swapped and empty and zero_prior
+
+
+def test_chain_starts_from_first_best_candidate(monkeypatch):
+    # the first Gibbs sweep receives the chain's starting state: the first
+    # candidate whose joint is highest.  In the mirror case, two entities
+    # that link to each other fit (0, 1) and (1, 0) with equal joints, so
+    # the tied candidates differ.
+    starts = []
+
+    def recording(z, D, G, B, rng=None):
+        if rng is not None and not starts:
+            starts.append(z.copy())
+        _sweep_stored(z, D, G, B, rng)
+
+    monkeypatch.setattr(analogy, "_sweep_stored", recording)
+    rng = np.random.default_rng(32)
+    mirror = StoredSystem("mirror", [[0.1, 0.9], [0.9, 0.1]], [0.5, 0.5])
+    pair = RelationData(2, [[0, 1], [1, 0]], [[False, True], [True, False]])
+    distinct_ties = 0
+    for trial in range(40):
+        if trial % 4:
+            system = random_gap_system(rng, int(rng.integers(1, 7)))
+            data = self_cell_data(rng, int(rng.integers(1, 13)))
+        else:
+            system, data = mirror, pair
+        live = np.flatnonzero(system.class_probs > 0.0)
+        candidates, joints = _greedy_candidates(
+            data, system, _sweep_tables(data, system), live, np.random.default_rng(trial)
+        )
+        best = candidates[joints == joints.max()]
+        distinct_ties += (best != best[0]).any()
+        starts.clear()
+        run_stored_chain(data, system, McmcSchedule(0, 1, 1, seed=trial))
+        assert_array_equal(starts[0], best[0])
+    assert distinct_ties
+
+
+def stack_cases():
+    """(data, system) pairs for the stacked-path checks: a 30-entity split
+    with self cells, one entity, and an empty observed set."""
+    datasets = (
+        self_cell_data(np.random.default_rng(33), 30),
+        RelationData(1, [[1]], [[True]]),
+        RelationData(6, np.ones((6, 6), dtype=np.int8), np.zeros((6, 6), dtype=bool)),
+    )
+    systems = (two_class_system(), gap_system(), edge_system(), tie_system(),
+               random_gap_system(np.random.default_rng(34), 6))
+    return [(data, system) for data in datasets for system in systems]
+
+
+@pytest.mark.parametrize("data, system", stack_cases())
+def test_stacked_table_equals_each_labeling_table(data, system):
+    D, G, B = _sweep_tables(data, system)[:3]
+    Z = sample_stored_assignments(system, (2, 4, data.n_entities), np.random.default_rng(35))
+    L = _stored_table(D, G, B, Z)
+    assert L.shape == Z.shape + (system.n_classes,)
+    for idx in np.ndindex(Z.shape[:-1]):
+        assert np.array_equal(L[idx], _stored_table(D, G, B, Z[idx]))
+
+
+@pytest.mark.parametrize("data, system", stack_cases())
+def test_stacked_argmax_sweep_equals_each_labeling_sweep(data, system):
+    D, G, B = _sweep_tables(data, system)[:3]
+    Z = sample_stored_assignments(
+        system, (INIT_RESTARTS, data.n_entities), np.random.default_rng(36)
+    )
+    rows = [z.copy() for z in Z]
+    for _ in range(3):
+        _sweep_stored(Z, D, G, B)
+        for z in rows:
+            _sweep_stored(z, D, G, B)
+        assert np.array_equal(Z, np.stack(rows))
+
+
+@pytest.mark.parametrize("data, system", stack_cases())
+def test_stacked_swap_scores_equal_each_state_scores(data, system):
+    tables = _sweep_tables(data, system)
+    m = system.n_classes
+    live = np.flatnonzero(system.class_probs > 0.0)
+    pairs = live[np.array(np.triu_indices(live.size, 1))]
+    Z = sample_stored_assignments(
+        system, (INIT_RESTARTS, data.n_entities), np.random.default_rng(37)
+    )
+    counts = pair_counts(data, Z, m).swapaxes(0, 1)
+    lls = _loglik_from_counts(*counts, tables[4])
+    sizes = (Z[:, :, None] == np.arange(m)).sum(1)
+    perms, new_ll, gains = _swap_moves(counts, sizes, lls[:, None], tables, *pairs)
+    assert new_ll.shape == gains.shape == (INIT_RESTARTS, pairs.shape[1])
+    priors = tables[3][Z].sum(1)
+    for r, z in enumerate(Z):
+        ll = float(_loglik_from_counts(*counts[:, r], tables[4]))
+        assert np.array_equal(counts[:, r], pair_counts(data, z, m))
+        assert np.array_equal(sizes[r], np.bincount(z, minlength=m))
+        assert lls[r] == ll and priors[r] == tables[3][z].sum()
+        one = _swap_moves(counts[:, r], sizes[r], ll, tables, *pairs)
+        assert np.array_equal(perms, one[0])
+        assert np.array_equal(new_ll[r], one[1])
+        assert np.array_equal(gains[r], one[2])
+
+
+@pytest.mark.parametrize("n", [1, 7, 30])
+def test_stacked_prior_draw_equals_each_draw(n):
+    for system in (two_class_system(), gap_system(), random_gap_system(np.random.default_rng(n), 6)):
+        stacked, single = np.random.default_rng(38), np.random.default_rng(38)
+        Z = sample_stored_assignments(system, (INIT_RESTARTS, n), stacked)
+        rows = [sample_stored_assignments(system, n, single) for _ in range(INIT_RESTARTS)]
+        assert Z.shape == (INIT_RESTARTS, n) and Z.dtype == np.int64
+        assert np.array_equal(Z, np.stack(rows))
+        assert stacked.bit_generator.state == single.bit_generator.state
 
 
 @pytest.mark.parametrize("system", [two_class_system(), gap_system(), edge_system()])

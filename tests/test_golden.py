@@ -5,8 +5,10 @@ tiny grid in ``test_cli.tiny_config`` under each tau mode, the `relgen
 summarize` output of the per-cell one, and the predictions (plus the
 evidence report, for the pool models) of `relgen infer` for every model on
 one small dataset.  ``irm-chain.json`` holds the retained draws, alphas and
-log-likelihoods of three theory chains, which must match exactly.  A change
-that alters any of these bytes on purpose regenerates the files with
+log-likelihoods of three theory chains, and ``stored-chain.json`` the
+retained draws and log-likelihoods of six stored-system chains; both must
+match exactly.  A change that alters any of these bytes on purpose
+regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -24,6 +26,7 @@ import pytest
 from relgen import (
     McmcSchedule,
     SplitSpec,
+    StoredSystem,
     emit_results_csv,
     emit_summary_csv,
     generate_synthetic_system,
@@ -32,6 +35,7 @@ from relgen import (
     parse_results_csv,
     run_experiment,
     run_irm_chain,
+    run_stored_chain,
     simulate_interactions,
     summarize,
 )
@@ -44,6 +48,19 @@ INFER_MODELS = ("irm", "analogy", "hybrid")
 # (entities, observed fraction, seed): the sparse 20-entity split's chain
 # opens and closes classes throughout its retained draws
 IRM_CHAINS = ((30, 0.3, 2), (12, 0.9, 4), (20, 0.1, 6))
+# (entities, observed fraction, seed, stored system): "source" maps the data
+# back onto the system it came from, "other" onto a second random system,
+# "zero-prior" onto the source with its first class's prior mass removed, and
+# "one-class" onto a single class, where no class swap is possible.  In every
+# chain but the one-class one, the greedy init takes improving class swaps.
+STORED_CHAINS = (
+    (30, 0.1, 2, "source"),
+    (30, 0.9, 13, "source"),
+    (24, 0.3, 13, "other"),
+    (20, 0.1, 18, "zero-prior"),
+    (20, 0.9, 3, "zero-prior"),
+    (12, 0.5, 7, "one-class"),
+)
 
 
 def results_csv(tau_mode: str) -> str:
@@ -105,6 +122,44 @@ def irm_chain_records() -> list[dict]:
     return records
 
 
+def stored_system(kind: str, source, rng) -> StoredSystem:
+    """The system a ``STORED_CHAINS`` entry maps its data onto."""
+    if kind == "source":
+        return source
+    if kind == "other":
+        return generate_synthetic_system(rng, name="other", class_range=(3, 5))
+    if kind == "zero-prior":
+        probs = source.class_probs.copy()
+        probs[0] = 0.0
+        return StoredSystem("zero-prior", source.link_probs, probs / probs.sum())
+    return StoredSystem("one-class", [[0.4]], [1.0])
+
+
+def stored_chain_records() -> list[dict]:
+    """Retained draws and log-likelihoods of one stored chain per entry of
+    ``STORED_CHAINS``; floats as ``float.hex`` so equality is exact."""
+    records = []
+    for n, fraction, seed, kind in STORED_CHAINS:
+        rng = np.random.default_rng(seed + 100)
+        source = generate_synthetic_system(rng, name="golden", class_range=(3, 5))
+        full, _ = simulate_interactions(source, n, rng)
+        data = make_split(full, SplitSpec(observed_fraction=fraction, seed=seed))
+        system = stored_system(kind, source, rng)
+        schedule = McmcSchedule(burn_in=30, n_retained=15, thinning=2, seed=seed)
+        samples = run_stored_chain(data, system, schedule)
+        records.append({
+            "entities": n,
+            "observed_fraction": fraction,
+            "seed": seed,
+            "system": kind,
+            "classes": system.n_classes,
+            "live_classes": int(np.count_nonzero(system.class_probs)),
+            "draws": samples.partitions.tolist(),
+            "logliks": [float(v).hex() for v in samples.logliks],
+        })
+    return records
+
+
 def _golden(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="utf-8")
 
@@ -153,6 +208,15 @@ def test_irm_chains_match_golden():
     assert any(a > b for a, b in zip(class_counts, class_counts[1:]))
 
 
+def test_stored_chains_match_golden():
+    records = stored_chain_records()
+    assert records == json.loads(_golden("stored-chain.json"))
+    kinds = {r["system"]: r for r in records}
+    assert 1 < kinds["zero-prior"]["live_classes"] < kinds["zero-prior"]["classes"]
+    assert kinds["one-class"]["classes"] == 1
+    assert {r["observed_fraction"] for r in records} >= {0.1, 0.9}
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.glob("*.csv"):
@@ -164,6 +228,9 @@ if __name__ == "__main__":
     )
     (GOLDEN / "irm-chain.json").write_text(
         json.dumps(irm_chain_records(), indent=1) + "\n", encoding="utf-8"
+    )
+    (GOLDEN / "stored-chain.json").write_text(
+        json.dumps(stored_chain_records(), indent=1) + "\n", encoding="utf-8"
     )
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in infer_outputs(Path(tmp)).items():
