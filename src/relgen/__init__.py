@@ -87,7 +87,6 @@ from .cli import (
     evaluate,
     main,
     parse_results_csv,
-    plan_rows,
     run_experiment,
     summarize,
 )

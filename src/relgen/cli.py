@@ -27,7 +27,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -199,8 +198,11 @@ class ExperimentConfig:
             raise ConfigError("n_target_systems must be >= 1")
         # delegates burn-in / retained / thinning validation
         McmcSchedule(self.burn_in, self.n_retained, self.thinning, 0)
-        if not (np.isfinite(self.tau_lower) and np.isfinite(self.tau_upper)):
-            raise ConfigError("tau bounds must be finite")
+        for name in ("tau_lower", "tau_upper"):
+            bound = getattr(self, name)
+            with np.errstate(all="ignore"):
+                if not 0.0 < np.power(10.0, bound) < np.inf:
+                    raise ConfigError(f"{name}: 10**{bound!r} is not a positive finite float")
         if self.tau_lower >= self.tau_upper:
             raise ConfigError("tau_lower must be below tau_upper")
         if self.tau_mode not in VALID_TAU_MODES:
@@ -284,20 +286,6 @@ def evaluate(predictions, truths) -> float:
 
 
 @dataclass(frozen=True)
-class RowTask:
-    """One row of the grid.  ``seed`` is the seed of the row's (target,
-    fraction) cell, which every chain of the cell derives from."""
-
-    target_index: int
-    target_name: str
-    fraction_index: int
-    fraction: float
-    model: str
-    n_stored: int | None
-    seed: int
-
-
-@dataclass(frozen=True)
 class _HybridPayload:
     """A hybrid fit's pieces, kept so tau can be chosen after the chains ran.
 
@@ -318,22 +306,15 @@ class _HybridPayload:
         return len(self.names)
 
 
-def plan_rows(config: ExperimentConfig, target_names) -> list[RowTask]:
-    """The row grid in canonical order: targets x fractions x models x K.
-
-    The rows of one (target, fraction) cell are adjacent and share its seed.
-    """
-    tasks = []
-    for t_idx, name in enumerate(target_names):
-        for f_idx, frac in enumerate(config.observed_fractions):
-            seed = derive_seed(config.master_seed, "cell", name, f_idx)
-            for model in sorted(config.models, key=_MODEL_ORDER.__getitem__):
-                counts = (None,) if model == "irm" else sorted(config.stored_counts)
-                for k in counts:
-                    tasks.append(
-                        RowTask(t_idx, name, f_idx, float(frac), model, k, seed)
-                    )
-    return tasks
+def _cell_rows(config: ExperimentConfig) -> list[tuple[str, int | None]]:
+    """The (model, K) rows of every (target, fraction) cell, in canonical
+    order: models in VALID_MODELS order, K ascending, None for irm."""
+    return [
+        (model, k)
+        for model in VALID_MODELS
+        if model in config.models
+        for k in ((None,) if model == "irm" else sorted(config.stored_counts))
+    ]
 
 
 def materialize_systems(config: ExperimentConfig) -> list[StoredSystem]:
@@ -363,18 +344,17 @@ def materialize_systems(config: ExperimentConfig) -> list[StoredSystem]:
     return systems
 
 
-def _split_data(config: ExperimentConfig, systems, task: RowTask) -> RelationData:
+def _split_data(config: ExperimentConfig, target, fraction_index: int) -> RelationData:
     # data and split seeds depend only on (system, fraction), never on the
     # model or pool size: every model in a cell sees the same split
-    target = systems[task.target_index]
     data_rng = np.random.default_rng(
         derive_seed(config.master_seed, "data", target.name)
     )
     full, _ = simulate_interactions(target, config.entity_count, data_rng)
     spec = SplitSpec(
-        task.fraction,
+        config.observed_fractions[fraction_index],
         config.test_fraction,
-        derive_seed(config.master_seed, "split", target.name, task.fraction_index),
+        derive_seed(config.master_seed, "split", target.name, fraction_index),
     )
     return make_split(full, spec)
 
@@ -529,50 +509,48 @@ def _validation_cells(data: RelationData, seed: int) -> tuple:
     return tuple((int(i) // n, int(i) % n) for i in picked)
 
 
-def _grid_cell(config: ExperimentConfig, systems, task: RowTask) -> _Cell:
-    """The `_Cell` of a grid row's (target, fraction) cell."""
+def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_index):
+    """Run the rows of one (target, fraction) cell from one set of chains.
+
+    Returns one (ResultRow, hybrid payload or None) per row of `_cell_rows`,
+    in order.  Only a hybrid row under the global tau mode comes back with a
+    payload, and unscored; its tau is chosen once every cell has run.  A row
+    that raises is recorded with an error marker and the cell's other rows
+    still complete.  A row's wall time includes the split and chains it was
+    the first to need.
+    """
+    target = systems[target_index]
+    seed = derive_seed(config.master_seed, "cell", target.name, fraction_index)
     validation_seed = None
     if config.tau_mode == "validation-split":
         validation_seed = derive_seed(
-            config.master_seed, "validation", task.target_name, task.fraction_index
+            config.master_seed, "validation", target.name, fraction_index
         )
-    return _Cell(
-        _split_data(config, systems, task),
-        _pool_for(config, systems, task.target_index),
-        config.stored_counts,
-        McmcSchedule(config.burn_in, config.n_retained, config.thinning),
-        task.seed,
-        None if config.tau_mode == "global" else (config.tau_lower, config.tau_upper),
-        validation_seed,
-    )
-
-
-def _execute_cell(config: ExperimentConfig, systems, tasks):
-    """Run the rows of one (target, fraction) cell from one set of chains.
-
-    Returns one (ResultRow, hybrid payload or None) per task, in order.  Only
-    a hybrid row under the global tau mode comes back with a payload, and
-    unscored; its tau is chosen once every cell has run.  A row that raises
-    is recorded with an error marker and the cell's other rows still
-    complete.  A row's wall time includes the split and chains it was the
-    first to need.
-    """
+    tau_bounds = None if config.tau_mode == "global" else (config.tau_lower, config.tau_upper)
     cell = None
     start = time.perf_counter()
     out = []
-    for task in tasks:
+    for model, k in _cell_rows(config):
         fields = dict(
-            target_system=task.target_name,
-            model=task.model,
-            n_stored=task.n_stored,
-            observed_fraction=task.fraction,
-            seed=task.seed,
+            target_system=target.name,
+            model=model,
+            n_stored=k,
+            observed_fraction=config.observed_fractions[fraction_index],
+            seed=seed,
         )
         payload = None
         try:
             if cell is None:
-                cell = _grid_cell(config, systems, task)
-            bits, _, _, payload = cell.fit(task.model, task.n_stored)
+                cell = _Cell(
+                    _split_data(config, target, fraction_index),
+                    _pool_for(config, systems, target_index),
+                    config.stored_counts,
+                    McmcSchedule(config.burn_in, config.n_retained, config.thinning),
+                    seed,
+                    tau_bounds,
+                    validation_seed,
+                )
+            bits, _, _, payload = cell.fit(model, k)
             fields.update(n_test=len(cell.data.test_cells), **bits)
         except Exception as exc:  # noqa: BLE001 - a row failure must not kill the run
             fields.update(
@@ -594,8 +572,8 @@ def _init_worker(config: ExperimentConfig, systems) -> None:
     _WORKER_GRID = (config, systems)
 
 
-def _execute_task(tasks):
-    return _execute_cell(*_WORKER_GRID, tasks)
+def _execute_task(cell):
+    return _execute_cell(*_WORKER_GRID, *cell)
 
 
 def _finalize_global_tau(config, rows, payloads):
@@ -628,25 +606,24 @@ def run_experiment(
     """
     if systems is None:
         systems = materialize_systems(config)
-    targets = systems[: config.n_target_systems]
-    tasks = plan_rows(config, [s.name for s in targets])
     cells = [
-        list(group)
-        for _, group in groupby(tasks, key=lambda t: (t.target_index, t.fraction_index))
+        (t_idx, f_idx)
+        for t_idx in range(min(config.n_target_systems, len(systems)))
+        for f_idx in range(len(config.observed_fractions))
     ]
-
+    total = len(cells) * len(_cell_rows(config))
     results: list[tuple[ResultRow, _HybridPayload | None]] = []
 
     def collect(outs):
         for out in outs:
             results.extend(out)
             if progress:
-                progress(len(results), len(tasks))
+                progress(len(results), total)
 
     if workers > 1:
         # the library goes to each worker once; a task carries only its cell's
-        # rows.  A forking pool starts all its workers on the first task, so
-        # it starts no more than there are cells.
+        # (target, fraction) indices.  A forking pool starts all its workers on
+        # the first task, so it starts no more than there are cells.
         with ProcessPoolExecutor(
             max_workers=max(1, min(workers, len(cells))),
             initializer=_init_worker,
@@ -654,7 +631,7 @@ def run_experiment(
         ) as pool:
             collect(pool.map(_execute_task, cells))
     else:
-        collect(_execute_cell(config, systems, cell) for cell in cells)
+        collect(_execute_cell(config, systems, *cell) for cell in cells)
 
     rows = [row for row, _ in results]
     pending = {

@@ -1,7 +1,7 @@
 """Seed derivation, config handling, the experiment grid, CSV, and commands."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -19,11 +19,10 @@ from relgen import (
     evaluate,
     main,
     parse_results_csv,
-    plan_rows,
     run_experiment,
     summarize,
 )
-from relgen.cli import materialize_systems
+from relgen.cli import VALID_TAU_MODES, _cell_rows, materialize_systems
 
 
 def tiny_config(**over):
@@ -141,6 +140,11 @@ WRONG_TYPES = [
         dict(class_range=(0, 3)),
         dict(class_range=(5, 3)),
         dict(generation_gamma=0.0),
+        # tau = 10**bound must be a positive finite float
+        dict(tau_upper=400.0),
+        dict(tau_lower=-400.0),
+        dict(tau_lower=float("-inf")),
+        dict(tau_upper=float("nan")),
     ],
 )
 def test_config_rejects_bad_values(bad):
@@ -177,27 +181,39 @@ def test_config_coerces_sequences():
 
 # ------------------------------------------------------------------ planning
 
-def test_plan_rows_combinatorics():
-    config = tiny_config()
-    tasks = plan_rows(config, ["s0", "s1", "s2"])
-    # per target and fraction: one theory row + one analogy + one hybrid
-    assert len(tasks) == 3 * 2 * 3
+def test_cell_rows_combinatorics():
+    # per target and fraction: one theory row (no K) + one analogy + one hybrid
+    config = tiny_config(burn_in=1, n_retained=1)
+    assert _cell_rows(config) == [("irm", None), ("analogy", 2), ("hybrid", 2)]
+    rows = run_experiment(config)
+    assert [(r.model, r.n_stored) for r in rows] == _cell_rows(config) * 3 * 2
     # one seed per (target, fraction) cell, shared by the cell's rows
-    cell_seeds = {(t.target_name, t.fraction_index): t.seed for t in tasks}
+    cell_seeds = {(r.target_system, r.observed_fraction): r.seed for r in rows}
     assert len(set(cell_seeds.values())) == 3 * 2
-    assert all(t.seed == cell_seeds[t.target_name, t.fraction_index] for t in tasks)
-    irm_rows = [t for t in tasks if t.model == "irm"]
-    assert all(t.n_stored is None for t in irm_rows)
-    assert all(t.n_stored == 2 for t in tasks if t.model != "irm")
+    assert all(r.seed == cell_seeds[r.target_system, r.observed_fraction] for r in rows)
+    assert cell_seeds["synthetic-001", 0.5] == derive_seed(42, "cell", "synthetic-001", 1)
     # rows come out in canonical order, K ascending, whatever the config's order
-    unsorted = plan_rows(tiny_config(stored_counts=(5, 1, 2)), ["s0"])
-    assert [t.n_stored for t in unsorted if t.model == "hybrid"] == [1, 2, 5] * 2
+    unsorted = replace(config, stored_counts=(5, 1, 2), models=("hybrid", "irm"))
+    assert _cell_rows(unsorted) == [("irm", None)] + [("hybrid", k) for k in (1, 2, 5)]
+    rows = run_experiment(replace(unsorted, n_target_systems=1))
+    assert [(r.model, r.n_stored) for r in rows] == _cell_rows(unsorted) * 2
 
 
-def test_plan_rows_default_grid_size():
+def test_cell_rows_default_grid_size(monkeypatch):
+    import relgen.cli as cli
+
     config = ExperimentConfig()
-    tasks = plan_rows(config, [f"s{i}" for i in range(101)])
-    assert len(tasks) == 101 * 9 * (1 + 4 + 4)
+    assert len(_cell_rows(config)) == 1 + 4 + 4
+
+    def stub_cell(config, systems, t_idx, f_idx):
+        return [((t_idx, f_idx, model, k), None) for model, k in _cell_rows(config)]
+
+    monkeypatch.setattr(cli, "_execute_cell", stub_cell)
+    totals = set()
+    rows = run_experiment(config, [None] * 101, progress=lambda _, n: totals.add(n))
+    assert len(rows) == 101 * 9 * (1 + 4 + 4) and totals == {len(rows)}
+    assert rows[:9] == [(0, 0, model, k) for model, k in _cell_rows(config)]
+    assert rows[-1] == (100, 8, "hybrid", 100)
 
 
 # ----------------------------------------------------------------------- csv
@@ -339,6 +355,32 @@ def test_run_experiment_worker_count_is_invisible():
     alone = run_experiment(config, workers=1)
     pooled = run_experiment(config, workers=2)
     assert emit_results_csv(alone) == emit_results_csv(pooled)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_experiment_reports_progress_per_cell(workers):
+    seen = []
+    run_experiment(tiny_config(), workers=workers, progress=lambda *done: seen.append(done))
+    assert seen == [(3 * cells, 18) for cells in range(1, 7)]
+
+
+# (edge settings, held-out cells per row): no test set, no observed cell, n = 1
+EDGE_GRIDS = [
+    pytest.param(dict(test_fraction=0.0), 0, id="no-test-set"),
+    pytest.param(dict(observed_fractions=(0.0,)), 6, id="nothing-observed"),
+    pytest.param(dict(entity_count=1, class_range=(1, 1)), 0, id="one-entity"),
+]
+
+
+@pytest.mark.parametrize("tau_mode", VALID_TAU_MODES)
+@pytest.mark.parametrize("edge, n_test", EDGE_GRIDS)
+def test_run_experiment_edge_grids(edge, n_test, tau_mode):
+    config = tiny_config(tau_mode=tau_mode, **edge)
+    rows = run_experiment(config)
+    assert len(rows) == 3 * len(config.observed_fractions) * 3
+    assert all(r.status == "ok" and r.n_test == n_test for r in rows)
+    assert all(r.score == 0.0 for r in rows if n_test == 0)
+    assert emit_results_csv(run_experiment(config, workers=2)) == emit_results_csv(rows)
 
 
 def test_run_experiment_sizes_the_pool_by_cells(monkeypatch):
@@ -674,6 +716,22 @@ def test_cli_experiment_rejects_bad_workers_and_setting_types(tmp_path, capsys):
     assert main(base + ["--config", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith("error: stored_counts item ")
     assert not out.exists()
+    # tau = 10**400 overflows: refused up front, not after every chain ran
+    config_path.write_text(json.dumps({"tau_upper": 400}))
+    for mode in VALID_TAU_MODES:
+        assert main(base + ["--config", str(config_path), "--tau-mode", mode]) == 2
+        assert capsys.readouterr().err.startswith("error: tau_upper: 10**400.0 ")
+        assert not out.exists()
+
+
+def test_cli_experiment_verbose_reports_rows(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(asdict(tiny_config())))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(config_path), "--verbose",
+                 "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"row {3 * cells}/18" for cells in range(1, 7)]
 
 
 def test_cli_experiment_error_exit(tmp_path):
