@@ -34,6 +34,7 @@ import numpy as np
 from .core import (
     ConfigError,
     DimensionError,
+    GenerationError,
     RelationData,
     SplitError,
     StoredSystem,
@@ -321,13 +322,7 @@ def materialize_systems(config: ExperimentConfig) -> list[StoredSystem]:
     """The system collection an experiment draws from: the files under
     ``systems_dir`` when it is set, generated systems otherwise."""
     if config.systems_dir:
-        systems = load_systems_dir(config.systems_dir)
-        if len(systems) < config.n_target_systems:
-            raise ConfigError(
-                f"{config.systems_dir} holds {len(systems)} systems, "
-                f"fewer than n_target_systems={config.n_target_systems}"
-            )
-        return systems
+        return load_systems_dir(config.systems_dir)
     systems = []
     for i in range(config.n_target_systems):
         rng = np.random.default_rng(derive_seed(config.master_seed, "generate", i))
@@ -602,13 +597,20 @@ def run_experiment(
     when the cell's rows are built.  A row that raises is recorded with an
     error marker and the run continues.  Output is independent of
     ``workers``, which run whole cells; pass ``progress`` (a callable taking
-    done and total row counts) for coarse status reporting.
+    done and total row counts) for coarse status reporting.  Raises
+    ConfigError, before any cell runs, when ``systems`` holds fewer than
+    ``config.n_target_systems`` systems.
     """
     if systems is None:
         systems = materialize_systems(config)
+    if len(systems) < config.n_target_systems:
+        raise ConfigError(
+            f"{len(systems)} systems given, fewer than "
+            f"n_target_systems={config.n_target_systems}"
+        )
     cells = [
         (t_idx, f_idx)
-        for t_idx in range(min(config.n_target_systems, len(systems)))
+        for t_idx in range(config.n_target_systems)
         for f_idx in range(len(config.observed_fractions))
     ]
     total = len(cells) * len(_cell_rows(config))
@@ -806,11 +808,12 @@ def _cmd_generate(args) -> int:
             generation_alpha=args.alpha,
             class_range=(args.class_min, args.class_max),
         )
-    except ConfigError as exc:
+        systems = materialize_systems(config)
+    except (ConfigError, GenerationError) as exc:
         return _usage_error(str(exc))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for system in materialize_systems(config):
+    for system in systems:
         save_system(system, out_dir / f"{system.name}.json")
     print(f"wrote {args.count} system files to {out_dir}")
     return 0
@@ -919,12 +922,17 @@ def _cmd_experiment(args) -> int:
         systems = materialize_systems(config)
     except (OSError, ValueError) as exc:
         return _usage_error(f"--systems-dir: {exc}")
+    except GenerationError as exc:
+        return _usage_error(str(exc))
     progress = None
     if args.verbose:
         progress = lambda done, total: print(
             f"row {done}/{total}", file=sys.stderr, flush=True
         )
-    rows = run_experiment(config, systems, workers=args.workers, progress=progress)
+    try:
+        rows = run_experiment(config, systems, workers=args.workers, progress=progress)
+    except ConfigError as exc:  # raised before any cell runs
+        return _usage_error(f"--systems-dir: {exc}")
     Path(args.out).write_text(
         emit_results_csv(rows, include_timing=config.emit_timing), encoding="utf-8"
     )

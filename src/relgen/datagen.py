@@ -83,7 +83,8 @@ def generate_synthetic_system(
             break
     else:
         raise GenerationError(
-            f"no partition with {lo}..{hi} classes in {max_attempts} attempts"
+            f"no partition with {lo}..{hi} classes in {max_attempts} attempts "
+            f"(gamma={gamma}, {probe_entities} entities)"
         )
     m = part.n_classes
     link = rng.beta(alpha, alpha, size=(m, m))

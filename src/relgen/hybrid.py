@@ -4,7 +4,7 @@ The hybrid treats K stored systems and one freshly inferred relational model
 as K+1 competing components.  A concentration-style parameter tau sets how
 much prior mass the fresh-theory component receives: each stored system gets
 1 / (K + tau) and the theory gets tau / (K + tau).  tau is tuned post hoc by
-maximizing a held-out score with Brent's method on log10(tau).
+maximizing a held-out score by golden-section search on log10(tau).
 """
 
 from __future__ import annotations
@@ -79,18 +79,16 @@ def hybrid_component_predictions(
     return np.column_stack([stored, irm_predict_cells(irm_samples, data, cells)])
 
 
-_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
-
-
 def optimize_tau(
     score_fn, lower: float = TAU_LOG10_LOWER, upper: float = TAU_LOG10_UPPER
 ) -> float:
-    """Maximize a score over tau by Brent's method on log10(tau).
+    """Maximize a score over tau by golden-section search on log10(tau).
 
     ``lower``/``upper`` bound log10(tau); ``score_fn`` receives tau itself.
-    Golden-section steps with parabolic-interpolation acceleration shrink the
-    bracket until its width drops below the fixed tolerance ``TAU_TOL``; the
-    search then returns the best of the interior optimum and the two interval
+    Two interior points split the bracket in the golden ratio; each step keeps
+    the side holding the better point, and on a tie the lower side.  Once the
+    bracket is narrower than the fixed tolerance ``TAU_TOL`` the search
+    returns the best of the better interior point and the two interval
     endpoints, so a monotone score yields the bound exactly.  Deterministic; a
     non-finite score raises an OptimizationError carrying the offending tau.
     """
@@ -104,55 +102,21 @@ def optimize_tau(
             raise OptimizationError(f"non-finite score at tau={tau!r}", tau)
         return float(val)
 
+    shrink = 0.5 * (np.sqrt(5.0) - 1.0)  # 1 / golden ratio
     a, b = float(lower), float(upper)
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = g(x)
-    d = e = 0.0
-    tiny = np.sqrt(np.finfo(float).eps)
-    for _ in range(1000):
-        if (b - a) < TAU_TOL:
-            break
-        m = 0.5 * (a + b)
-        tol1 = tiny * abs(x) + TAU_TOL / 10.0
-        golden_step = True
-        if abs(e) > tol1:
-            # try a parabola through (x, fx), (w, fw), (v, fv)
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                u = x + d
-                if (u - a) < 2.0 * tol1 or (b - u) < 2.0 * tol1:
-                    d = tol1 if x < m else -tol1
-                golden_step = False
-        if golden_step:
-            e = (b - x) if x < m else (a - x)
-            d = _GOLDEN * e
-        u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0 else -tol1)
-        fu = g(u)
-        if fu >= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = g(c), g(d)
+    while b - a >= TAU_TOL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = g(c)
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = g(d)
 
-    best_x, best_f = x, fx
+    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
     for endpoint in (lower, upper):
         f_end = g(endpoint)
         if f_end > best_f:

@@ -418,6 +418,12 @@ def test_run_experiment_sizes_the_pool_by_cells(monkeypatch):
     assert sizes == [2, 1]
 
 
+def test_run_experiment_rejects_a_short_systems_list():
+    # three systems cannot serve five targets: refused, not a smaller grid
+    with pytest.raises(ConfigError, match=r"3 systems .* n_target_systems=5"):
+        run_experiment(tiny_config(n_target_systems=5), materialize_systems(tiny_config()))
+
+
 def test_run_experiment_records_row_failures():
     # ask for more stored systems than the pool can provide: those rows
     # error out, everything else still completes
@@ -660,6 +666,10 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
     doc["test_idx"] = doc["test_idx"][:1] * 2
     repeated_test = tmp_path / "repeated-test.json"
     repeated_test.write_text(json.dumps(doc))
+    # gamma this small all but never opens a second class, let alone a third
+    unreachable = {"class_range": [3, 3], "generation_gamma": 0.001, "entity_count": 3}
+    no_systems = tmp_path / "no-systems.json"
+    no_systems.write_text(json.dumps({**unreachable, "n_target_systems": 1}))
     out = tmp_path / "p.csv"
     to_out = ["--out", str(out)]
     cases = [
@@ -671,6 +681,13 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
          "error: --config: "),
         (["experiment", "--systems-dir", str(empty)] + to_out,
          "error: --systems-dir: "),
+        (["experiment", "--systems-dir", str(systems), "--targets", "3"] + to_out,
+         "error: --systems-dir: 2 systems given, fewer than n_target_systems=3"),
+        (["experiment", "--config", str(no_systems)] + to_out,
+         "error: no partition with 3..3 classes"),
+        (["generate", "--out-dir", str(out), "--count", "1", "--entities", "3",
+          "--class-min", "3", "--class-max", "3", "--gamma", "0.001"],
+         "error: no partition with 3..3 classes"),
         (["infer", "--dataset", str(not_json), "--model", "irm"] + to_out,
          "error: --dataset: "),
         (["infer", "--dataset", str(repeated_test), "--model", "irm"] + to_out,
