@@ -221,8 +221,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"entity_count {self.entity_count} is below the class minimum {lo}"
             )
-        if self.generation_gamma <= 0 or self.generation_alpha <= 0:
-            raise ConfigError("generation_gamma and generation_alpha must be positive")
+        for name in ("generation_gamma", "generation_alpha"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite")
 
     @classmethod
     def from_sources(
@@ -301,10 +302,6 @@ class _HybridPayload:
     truths: np.ndarray
     tau_components: np.ndarray
     tau_truths: np.ndarray
-
-    @property
-    def n_stored(self) -> int:
-        return len(self.names)
 
 
 def _cell_rows(config: ExperimentConfig) -> list[tuple[str, int | None]]:
@@ -395,18 +392,15 @@ class _Cell:
     K beyond the pool fails only its own rows.  Each chain runs on first use,
     so a cell without irm or hybrid rows runs no theory chain.
 
-    Hybrid rows choose tau within ``tau_bounds`` (log10) on the test cells,
-    or on validation cells drawn with ``validation_seed``.  With
-    ``tau_bounds`` None they come back unscored, with the payload
-    `_choose_tau` needs.
+    A hybrid row comes back unscored, with the payload `_score_hybrid` needs
+    to choose its tau: on the test cells, or on validation cells drawn with
+    ``validation_seed`` when that is set.
     """
 
-    def __init__(
-        self, data, pool, counts, schedule, seed, tau_bounds, validation_seed=None
-    ):
+    def __init__(self, data, pool, counts, schedule, seed, validation_seed=None):
         self.data, self.pool, self.schedule, self.seed = data, pool, schedule, seed
         self.n_run = max((k for k in counts if k <= len(pool)), default=0)
-        self.tau_bounds, self.validation_seed = tau_bounds, validation_seed
+        self.validation_seed = validation_seed
         self.truths = _truths(data, data.test_cells)
 
     def _seeded(self, *label) -> McmcSchedule:
@@ -427,8 +421,8 @@ class _Cell:
     def fit(self, model: str, k: int | None):
         """One row: (row fields, test predictions, pool report, payload).
 
-        The pool models also return the first K systems' evidence report; only
-        an unscored hybrid row returns a payload.
+        The pool models also return the first K systems' evidence report.  A
+        hybrid row returns ``{"score": None}``, no predictions, and its payload.
         """
         data, cells, truths = self.data, self.data.test_cells, self.truths
         if model == "irm":
@@ -450,23 +444,20 @@ class _Cell:
         tau_comps, tau_truths = comps, truths
         if self.validation_seed is not None:
             tau_cells = _validation_cells(data, self.validation_seed)
-            tau_comps = hybrid_component_predictions(
-                chains, self.theory, systems, data, tau_cells
-            )
+            tau_comps = hybrid_component_predictions(chains, self.theory, systems, data, tau_cells)
             tau_truths = _truths(data, tau_cells)
         payload = _HybridPayload(report.names, comps, log_ev, truths, tau_comps, tau_truths)
-        if self.tau_bounds is None:
-            return {"score": None}, None, report, payload
-        bits, preds = _hybrid_bits(payload, _choose_tau([payload], self.tau_bounds))
-        return bits, preds, report, None
+        return {"score": None}, None, report, payload
 
 
-def _choose_tau(payloads, bounds) -> float:
-    """tau maximizing the mixture's summed log predictive on the payloads' tau cells.
+def _score_hybrid(payloads, bounds) -> list[tuple[dict, np.ndarray]]:
+    """Score hybrid payloads at one tau, chosen jointly over all of them.
 
-    ``bounds`` are optimize_tau's (lower, upper) on log10(tau).
+    tau maximizes the mixture's summed log predictive on the payloads' tau
+    cells, within ``bounds``, optimize_tau's (lower, upper) on log10(tau).
+    Returns each payload's scored row fields and test predictions at it.
     """
-    return optimize_tau(
+    tau_star = optimize_tau(
         lambda tau: sum(
             -evaluate(
                 predictive_prob(p.tau_components, hybrid_weights(p.log_evidences, tau)),
@@ -476,19 +467,18 @@ def _choose_tau(payloads, bounds) -> float:
         ),
         *bounds,
     )
-
-
-def _hybrid_bits(p: _HybridPayload, tau_star: float):
-    """A hybrid row's scored fields and its test predictions at the chosen tau."""
-    w = hybrid_weights(p.log_evidences, tau_star)
-    preds = predictive_prob(p.components, w)
-    fields = {
-        "score": evaluate(preds, p.truths),
-        "weights": tuple(zip(p.names, (float(x) for x in w[:-1]))),
-        "tau_star": float(tau_star),
-        "irm_weight": float(w[-1]),
-    }
-    return fields, preds
+    out = []
+    for p in payloads:
+        w = hybrid_weights(p.log_evidences, tau_star)
+        preds = predictive_prob(p.components, w)
+        fields = {
+            "score": evaluate(preds, p.truths),
+            "weights": tuple(zip(p.names, (float(x) for x in w[:-1]))),
+            "tau_star": float(tau_star),
+            "irm_weight": float(w[-1]),
+        }
+        out.append((fields, preds))
+    return out
 
 
 def _validation_cells(data: RelationData, seed: int) -> tuple:
@@ -508,11 +498,13 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
     """Run the rows of one (target, fraction) cell from one set of chains.
 
     Returns one (ResultRow, hybrid payload or None) per row of `_cell_rows`,
-    in order.  Only a hybrid row under the global tau mode comes back with a
-    payload, and unscored; its tau is chosen once every cell has run.  A row
-    that raises is recorded with an error marker and the cell's other rows
-    still complete.  A row's wall time includes the split and chains it was
-    the first to need.
+    in order.  Under the per-cell and validation-split tau modes a hybrid row
+    is scored by `_score_hybrid` within its own row, so its wall time includes
+    its tau search and a failing search errors only that row.  Under the
+    global mode it comes back unscored with its payload, and `_scored_rows`
+    chooses its tau once every cell has run.  A row that raises is recorded
+    with an error marker and the cell's other rows still complete.  A row's
+    wall time includes the split and chains it was the first to need.
     """
     target = systems[target_index]
     seed = derive_seed(config.master_seed, "cell", target.name, fraction_index)
@@ -521,7 +513,6 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
         validation_seed = derive_seed(
             config.master_seed, "validation", target.name, fraction_index
         )
-    tau_bounds = None if config.tau_mode == "global" else (config.tau_lower, config.tau_upper)
     cell = None
     start = time.perf_counter()
     out = []
@@ -542,10 +533,12 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
                     config.stored_counts,
                     McmcSchedule(config.burn_in, config.n_retained, config.thinning),
                     seed,
-                    tau_bounds,
                     validation_seed,
                 )
             bits, _, _, payload = cell.fit(model, k)
+            if payload is not None and config.tau_mode != "global":
+                ((bits, _),) = _score_hybrid([payload], (config.tau_lower, config.tau_upper))
+                payload = None
             fields.update(n_test=len(cell.data.test_cells), **bits)
         except Exception as exc:  # noqa: BLE001 - a row failure must not kill the run
             fields.update(
@@ -571,16 +564,18 @@ def _execute_task(cell):
     return _execute_cell(*_WORKER_GRID, *cell)
 
 
-def _finalize_global_tau(config, rows, payloads):
-    """Choose one tau per pool size by joint held-out score, then fill rows."""
+def _scored_rows(results, bounds) -> list[ResultRow]:
+    """The rows of (row, payload or None) pairs, the unscored hybrid rows of
+    each pool size K scored by `_score_hybrid` at one tau shared by them."""
+    rows = [row for row, _ in results]
     by_k: dict[int, list[int]] = {}
-    for idx, payload in payloads.items():
-        by_k.setdefault(payload.n_stored, []).append(idx)
+    for i, (_, payload) in enumerate(results):
+        if payload is not None:
+            by_k.setdefault(len(payload.names), []).append(i)
     for idxs in by_k.values():
-        members = [payloads[i] for i in idxs]
-        tau_star = _choose_tau(members, (config.tau_lower, config.tau_upper))
-        for i, p in zip(idxs, members):
-            rows[i] = replace(rows[i], **_hybrid_bits(p, tau_star)[0])
+        scored = _score_hybrid([results[i][1] for i in idxs], bounds)
+        for i, (bits, _) in zip(idxs, scored):
+            rows[i] = replace(rows[i], **bits)
     return rows
 
 
@@ -635,13 +630,7 @@ def run_experiment(
     else:
         collect(_execute_cell(config, systems, *cell) for cell in cells)
 
-    rows = [row for row, _ in results]
-    pending = {
-        i: payload for i, (_, payload) in enumerate(results) if payload is not None
-    }
-    if pending:
-        rows = _finalize_global_tau(config, rows, pending)
-    return rows
+    return _scored_rows(results, (config.tau_lower, config.tau_upper))
 
 
 # ---------------------------------------------------------------------------
@@ -877,10 +866,10 @@ def _cmd_infer(args) -> int:
                 pool = _pool_prefix(pool, args.k)
             except ConfigError as exc:
                 return _usage_error(f"--k: {exc}")
-    cell = _Cell(
-        data, pool, (len(pool),), schedule, args.seed, (TAU_LOG10_LOWER, TAU_LOG10_UPPER)
-    )
-    bits, preds, report, _ = cell.fit(args.model, len(pool) or None)
+    cell = _Cell(data, pool, (len(pool),), schedule, args.seed)
+    bits, preds, report, payload = cell.fit(args.model, len(pool) or None)
+    if payload is not None:
+        ((bits, preds),) = _score_hybrid([payload], (TAU_LOG10_LOWER, TAU_LOG10_UPPER))
     cells = data.test_cells
     records = ((r, c, t, p) for (r, c), t, p in zip(cells, cell.truths, preds))
     Path(args.out).write_text(

@@ -107,6 +107,8 @@ class RelationData:
 
     def __post_init__(self):
         n = self.n_entities
+        if n < 1:
+            raise DimensionError(f"a relation needs at least one entity, got n={n}")
         cells = np.array(self.cells, dtype=np.int8)
         mask = np.array(self.observed_mask, dtype=bool)
         if cells.shape != (n, n) or mask.shape != (n, n):
@@ -215,9 +217,10 @@ class StoredSystem:
             raise DimensionError(
                 f"class_probs must have length {m}, got {cls.shape}"
             )
-        if (link < 0).any() or (link > 1).any():
+        # written so that a NaN fails each check
+        if not ((link >= 0) & (link <= 1)).all():
             raise ValueError("link_probs entries must lie in [0, 1]")
-        if (cls < 0).any() or abs(cls.sum() - 1.0) > 1e-9:
+        if not ((cls >= 0).all() and abs(cls.sum() - 1.0) <= 1e-9):
             raise ValueError("class_probs must be nonnegative and sum to 1")
         if self.class_names is not None and len(self.class_names) != m:
             raise DimensionError("class_names length must match class count")

@@ -378,9 +378,8 @@ def run_irm_chain(
     schedule: McmcSchedule,
     hp: Hyperparameters | None = None,
     sample_hyperparams: bool = True,
-    init_partition: Partition | None = None,
 ) -> PosteriorSamples:
-    """Run one chain and return the retained draws.
+    """Run one chain from the one-class partition and return the retained draws.
 
     Per sweep: reassign all entities, then update alpha, then gamma (unless
     ``sample_hyperparams`` is off, which pins both).  After burn-in, every
@@ -389,11 +388,9 @@ def run_irm_chain(
     """
     rng = np.random.default_rng(schedule.seed)
     hp = hp if hp is not None else Hyperparameters()
-    if init_partition is None:
-        init_partition = Partition.from_assignments(
-            np.zeros(data.n_entities, dtype=np.int64)
-        )
-    state = _ChainState(data, init_partition)
+    state = _ChainState(
+        data, Partition.from_assignments(np.zeros(data.n_entities, dtype=np.int64))
+    )
 
     retained = []
     for sweep in range(schedule.total_sweeps):

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +146,12 @@ WRONG_TYPES = [
         dict(tau_lower=-400.0),
         dict(tau_lower=float("-inf")),
         dict(tau_upper=float("nan")),
+        # generation settings must be positive and finite
+        dict(generation_alpha=float("nan")),
+        dict(generation_alpha=float("inf")),
+        dict(generation_gamma=float("nan")),
+        dict(generation_gamma=float("inf")),
+        dict(generation_alpha=0.0),
     ],
 )
 def test_config_rejects_bad_values(bad):
@@ -511,6 +518,61 @@ def test_run_experiment_global_tau_is_shared():
     assert all(r.score is not None for r in rows)
 
 
+def test_per_cell_and_global_tau_agree_on_one_cell():
+    # one cell holds one hybrid row per K, so the tau global mode shares
+    # across a K's rows is that row's own tau: both modes score through one
+    # function and write the same bytes
+    systems = materialize_systems(tiny_config())
+    csvs = [
+        emit_results_csv(run_experiment(
+            tiny_config(
+                n_target_systems=1, observed_fractions=(0.5,), stored_counts=(1, 2),
+                tau_mode=mode,
+            ),
+            systems,
+        ))
+        for mode in ("per-cell", "global")
+    ]
+    assert csvs[0] == csvs[1]
+    assert csvs[0].count(",hybrid,") == 2 and ",error," not in csvs[0]
+
+
+# the spans the benchmark's tracer records from calls made inside the grid
+GRID_SPANS = {
+    "irm.chain", "analogy.chain", "irm.predict", "analogy.predict", "analogy.report",
+    "hybrid.evidence", "hybrid.components", "hybrid.tau_search", "datagen.row_split",
+}
+
+
+@pytest.mark.parametrize("tau_mode", VALID_TAU_MODES)
+def test_benchmark_tracer_sees_every_grid_layer(tau_mode, monkeypatch):
+    # perfbench/tracing.py wraps names that relgen.cli looks up at call time;
+    # a call moved out of relgen.cli would zero its layer's metrics
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer
+
+    config = tiny_config(n_target_systems=1, stored_counts=(1, 2), tau_mode=tau_mode)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        rows = run_experiment(config, materialize_systems(tiny_config()))
+    finally:
+        tracer.restore()
+    assert all(r.status == "ok" for r in rows)
+    assert GRID_SPANS <= {s["name"] for s in tracer.spans}
+    searches = [s["attrs"] for s in tracer.spans if s["name"] == "hybrid.tau_search"]
+    hybrid_rows = sum(r.model == "hybrid" for r in rows)
+    assert hybrid_rows == 4
+    if tau_mode == "global":
+        # one joint search per K, each scoring all of that K's rows per tau
+        assert len(searches) == len(config.stored_counts)
+        per_search = hybrid_rows // len(config.stored_counts)
+    else:
+        assert len(searches) == hybrid_rows
+        per_search = 1
+    assert all(a["evals"] > 0 and a["cells"] == a["evals"] * per_search for a in searches)
+
+
 def test_run_experiment_validation_split_mode():
     config = tiny_config(models=("hybrid",), tau_mode="validation-split")
     rows = run_experiment(config)
@@ -670,6 +732,14 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
     unreachable = {"class_range": [3, 3], "generation_gamma": 0.001, "entity_count": 3}
     no_systems = tmp_path / "no-systems.json"
     no_systems.write_text(json.dumps({**unreachable, "n_target_systems": 1}))
+    nan_system = tmp_path / "nan-system.json"
+    nan_system.write_text(json.dumps(
+        {"name": "nan", "eta": [[float("nan"), 0.5], [0.5, 0.5]], "zeta": [0.5, 0.5]}
+    ))
+    no_entities = tmp_path / "no-entities.json"
+    no_entities.write_text(json.dumps(
+        {"n_entities": 0, "cells": [], "observed_idx": [], "test_idx": []}
+    ))
     out = tmp_path / "p.csv"
     to_out = ["--out", str(out)]
     cases = [
@@ -712,6 +782,15 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
          "error: invalid class_range (5, 3)"),
         (["infer", "--dataset", str(dataset), "--model", "irm", "--retained", "0"]
          + to_out, "error: retained draw count"),
+        (["simulate", "--system", str(nan_system)] + to_out, "error: --system: "),
+        (["infer", "--dataset", str(no_entities), "--model", "irm"] + to_out,
+         "error: --dataset: "),
+        (["infer", "--dataset", str(no_entities), "--model", "hybrid",
+          "--systems-dir", str(systems)] + to_out, "error: --dataset: "),
+        (["generate", "--out-dir", str(out), "--alpha", "nan"],
+         "error: generation_alpha must be positive and finite"),
+        (["generate", "--out-dir", str(out), "--gamma", "inf"],
+         "error: generation_gamma must be positive and finite"),
     ]
     for args, prefix in cases:
         assert main(args) == 2, args

@@ -80,6 +80,8 @@ def test_relation_data_validation():
     observed[1, 2] = True
     with pytest.raises(ValueError):
         RelationData(3, good, observed, ((1, 2),))  # test overlaps observed
+    with pytest.raises(DimensionError, match="at least one entity"):
+        RelationData(0, np.zeros((0, 0), dtype=np.int8), np.zeros((0, 0), dtype=bool), ())
 
 
 def test_relation_data_tallies_match_brute_force():
@@ -132,6 +134,14 @@ def test_stored_system_validation():
         StoredSystem("bad", link[:1], np.array([1.0]))
     with pytest.raises(ConfigError):
         StoredSystem("bad", np.zeros((0, 0)), np.zeros(0))
+    # a NaN or an infinity fails the range and normalization checks
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="link_probs"):
+            StoredSystem("bad", [[bad, 0.5], [0.5, 0.5]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="class_probs"):
+            StoredSystem("bad", link, [bad, 0.5])
+    with pytest.raises(ValueError, match="class_probs"):
+        StoredSystem("bad", link, [np.nan, np.nan])
 
 
 def test_hyperparameters_bounds():
