@@ -444,7 +444,9 @@ class _Cell:
         tau_comps, tau_truths = comps, truths
         if self.validation_seed is not None:
             tau_cells = _validation_cells(data, self.validation_seed)
-            tau_comps = hybrid_component_predictions(chains, self.theory, systems, data, tau_cells)
+            tau_comps = hybrid_component_predictions(
+                chains, self.theory, systems, data, tau_cells
+            )
             tau_truths = _truths(data, tau_cells)
         payload = _HybridPayload(report.names, comps, log_ev, truths, tau_comps, tau_truths)
         return {"score": None}, None, report, payload
@@ -535,11 +537,11 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
                     seed,
                     validation_seed,
                 )
-            bits, _, _, payload = cell.fit(model, k)
-            if payload is not None and config.tau_mode != "global":
-                ((bits, _),) = _score_hybrid([payload], (config.tau_lower, config.tau_upper))
-                payload = None
+            bits, _, _, fitted = cell.fit(model, k)
+            if fitted is not None and config.tau_mode != "global":
+                ((bits, _),) = _score_hybrid([fitted], (config.tau_lower, config.tau_upper))
             fields.update(n_test=len(cell.data.test_cells), **bits)
+            payload = fitted if bits["score"] is None else None
         except Exception as exc:  # noqa: BLE001 - a row failure must not kill the run
             fields.update(
                 score=None, n_test=0, status="error", error=f"{type(exc).__name__}: {exc}"

@@ -12,6 +12,7 @@ from relgen import (
     ConfigError,
     DimensionError,
     ExperimentConfig,
+    OptimizationError,
     RelationData,
     ResultRow,
     derive_seed,
@@ -535,6 +536,23 @@ def test_per_cell_and_global_tau_agree_on_one_cell():
     ]
     assert csvs[0] == csvs[1]
     assert csvs[0].count(",hybrid,") == 2 and ",error," not in csvs[0]
+
+
+@pytest.mark.parametrize("tau_mode", ["per-cell", "validation-split"])
+def test_failed_tau_search_errors_only_its_row(tau_mode, monkeypatch):
+    # a row scored within its cell keeps no payload once its search fails,
+    # so the run returns with only the hybrid rows marked as errors
+    def fail(*args, **kwargs):
+        raise OptimizationError("non-finite score at tau=1.0", 1.0)
+
+    monkeypatch.setattr("relgen.cli.optimize_tau", fail)
+    config = tiny_config(n_target_systems=1, stored_counts=(1, 2), tau_mode=tau_mode)
+    rows = run_experiment(config, materialize_systems(tiny_config()))
+    hybrid = [r for r in rows if r.model == "hybrid"]
+    assert len(hybrid) == 4
+    assert all(r.status == "error" and r.score is None for r in hybrid)
+    assert all("OptimizationError" in r.error for r in hybrid)
+    assert all(r.status == "ok" for r in rows if r.model != "hybrid")
 
 
 # the spans the benchmark's tracer records from calls made inside the grid
