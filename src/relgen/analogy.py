@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     ConfigError,
@@ -186,13 +185,16 @@ def _greedy_candidates(data, system, tables, live, rng) -> tuple[np.ndarray, np.
     sweep the live class pairs are tried in (a, b) order: every remaining
     swap is scored in one batch, the first improving one is taken, and the
     scan resumes after it; one batch scores every candidate's first scan.
-    Returns the (R x n) states and their log joints.
+    A sweep is a function of the stack alone and draws nothing, so the
+    sweeps stop once one leaves the stack as it found it.  Returns the
+    (R x n) states and their log joints.
     """
     D, G, B, log_prior, log_tables = tables
     m = system.n_classes
     pairs = live[np.array(np.triu_indices(live.size, 1))]
     Z = sample_stored_assignments(system, (INIT_RESTARTS, data.n_entities), rng)
     for _ in range(INIT_GREEDY_SWEEPS):
+        before = Z.copy()
         _sweep_stored(Z, D, G, B)
         counts = pair_counts(data, Z, m).swapaxes(0, 1)
         lls = _loglik_from_counts(*counts, log_tables)
@@ -209,6 +211,8 @@ def _greedy_candidates(data, system, tables, live, rng) -> tuple[np.ndarray, np.
                 start += int(better[0]) + 1
                 perms, new_ll, gains = _swap_moves(c, s, lls[r], tables, *pairs[:, start:])
             Z[r] = z
+        if np.array_equal(Z, before):
+            break
     return Z, lls + log_prior[Z].sum(1)
 
 
@@ -247,6 +251,25 @@ def run_stored_chain(
     return PosteriorSamples(draws, logliks, f"stored:{system.name}")
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a non-empty 1-d float array, with the arithmetic
+    of ``scipy.special.logsumexp`` (1.17) for real input, bit for bit.
+
+    The entries tied at the maximum are held out of the shifted sum and
+    counted instead; a non-finite maximum (all -inf, +inf or NaN) is the
+    result itself.  Skips scipy's array-API dispatch, which costs far more
+    than the arithmetic on the short vectors here.
+    """
+    top = a.max()
+    if not np.isfinite(top):
+        return float(top)
+    ties = a == top
+    shifted = np.exp(a - top)
+    shifted[ties] = 0.0
+    n_ties = np.count_nonzero(ties)
+    return float(np.log1p(shifted.sum() / n_ties) + np.log(n_ties) + top)
+
+
 def harmonic_mean_evidence(logliks) -> float:
     """Harmonic-mean estimate of the log marginal likelihood.
 
@@ -260,7 +283,7 @@ def harmonic_mean_evidence(logliks) -> float:
     ll = np.asarray(logliks, dtype=np.float64)
     if ll.ndim != 1 or ll.size == 0:
         raise ValueError("need a non-empty 1-d array of log-likelihoods")
-    return float(-(logsumexp(-ll) - np.log(ll.size)))
+    return float(-(_logsumexp(-ll) - np.log(ll.size)))
 
 
 def analogy_weights(log_evidences, log_priors=None) -> np.ndarray:
@@ -284,7 +307,7 @@ def analogy_weights(log_evidences, log_priors=None) -> np.ndarray:
         raise ValueError("log evidence + log prior must be finite or -inf")
     if (combined == -np.inf).all():
         raise DegenerateWeightsError("every component has zero posterior mass")
-    w = np.exp(combined - logsumexp(combined))
+    w = np.exp(combined - _logsumexp(combined))
     return w / w.sum()
 
 

@@ -281,7 +281,7 @@ def evaluate(predictions, truths) -> float:
         )
     if p.size == 0:
         return 0.0
-    if not np.isin(t, (0, 1)).all():
+    if not ((t == 0) | (t == 1)).all():
         raise ValueError("truths must be 0/1")
     p = clamp_probs(p)
     return float(-np.sum(np.where(t == 1, np.log(p), np.log1p(-p))))
@@ -496,6 +496,11 @@ def _validation_cells(data: RelationData, seed: int) -> tuple:
     return tuple((int(i) // n, int(i) % n) for i in picked)
 
 
+def _error_fields(exc: Exception) -> dict:
+    """The fields that mark a row as failed by ``exc``."""
+    return dict(score=None, n_test=0, status="error", error=f"{type(exc).__name__}: {exc}")
+
+
 def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_index):
     """Run the rows of one (target, fraction) cell from one set of chains.
 
@@ -543,9 +548,7 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
             fields.update(n_test=len(cell.data.test_cells), **bits)
             payload = fitted if bits["score"] is None else None
         except Exception as exc:  # noqa: BLE001 - a row failure must not kill the run
-            fields.update(
-                score=None, n_test=0, status="error", error=f"{type(exc).__name__}: {exc}"
-            )
+            fields.update(_error_fields(exc))
         now = time.perf_counter()
         out.append((ResultRow(**fields, wall_seconds=now - start), payload))
         start = now
@@ -568,15 +571,19 @@ def _execute_task(cell):
 
 def _scored_rows(results, bounds) -> list[ResultRow]:
     """The rows of (row, payload or None) pairs, the unscored hybrid rows of
-    each pool size K scored by `_score_hybrid` at one tau shared by them."""
+    each pool size K scored by `_score_hybrid` at one tau shared by them.  A
+    search that raises marks only its own K's rows as errors."""
     rows = [row for row, _ in results]
     by_k: dict[int, list[int]] = {}
     for i, (_, payload) in enumerate(results):
         if payload is not None:
             by_k.setdefault(len(payload.names), []).append(i)
     for idxs in by_k.values():
-        scored = _score_hybrid([results[i][1] for i in idxs], bounds)
-        for i, (bits, _) in zip(idxs, scored):
+        try:
+            scored = [bits for bits, _ in _score_hybrid([results[i][1] for i in idxs], bounds)]
+        except Exception as exc:  # noqa: BLE001 - a failed search errors only its K
+            scored = [_error_fields(exc)] * len(idxs)
+        for i, bits in zip(idxs, scored):
             rows[i] = replace(rows[i], **bits)
     return rows
 

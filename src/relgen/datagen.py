@@ -211,6 +211,8 @@ def dataset_from_text(text: str) -> RelationData:
         test_idx = [int(i) for i in doc["test_idx"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed dataset document: {exc}") from exc
+    if n < 1:
+        raise ValueError(f"n_entities must be at least 1, got {n}")
     if cells.size != n * n:
         raise ValueError(
             f"expected {n * n} cells for {n} entities, got {cells.size}"

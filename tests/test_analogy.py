@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import chisquare
 
 from relgen import (
@@ -178,13 +179,23 @@ def test_draw_never_returns_zero_weight_index():
     assert _sample_logweights([0.0, 0.0, -np.inf], 0.0) == 0
 
 
-def test_greedy_candidate_matches_nested_swap_scan():
+def test_greedy_candidate_matches_nested_swap_scan(monkeypatch):
     # the batched scan must take the same swaps, in the same order, as the
     # nested loop over live class pairs scored by the full log joint; every
-    # candidate is checked, each refined from its own prior draw
+    # candidate is checked, each refined from its own prior draw.  The
+    # reference always runs every sweep, while the stack stops at its fixed
+    # point, so the early stop must give the same states.
+    sweeps = []
+
+    def counting(*args):
+        sweeps.append(1)
+        _sweep_stored(*args)
+
+    monkeypatch.setattr(analogy, "_sweep_stored", counting)
     rng = np.random.default_rng(31)
-    swapped = empty = zero_prior = 0
+    swapped = empty = zero_prior = stopped_early = 0
     for trial in range(60):
+        sweeps.clear()
         m, n = int(rng.integers(1, 7)), int(rng.integers(2, 9))
         system = random_gap_system(rng, m)
         data = self_cell_data(rng, n)
@@ -193,6 +204,8 @@ def test_greedy_candidate_matches_nested_swap_scan():
         seeded = np.random.default_rng(trial)
         got, joints = _greedy_candidates(data, system, tables, live, seeded)
         assert got.shape == (INIT_RESTARTS, n) and joints.shape == (INIT_RESTARTS,)
+        assert 1 <= len(sweeps) <= INIT_GREEDY_SWEEPS
+        stopped_early += len(sweeps) < INIT_GREEDY_SWEEPS
         draws = np.random.default_rng(trial)
         for r in range(INIT_RESTARTS):
             want = sample_stored_assignments(system, n, draws)
@@ -206,7 +219,7 @@ def test_greedy_candidate_matches_nested_swap_scan():
             assert_array_equal(got[r], want)
             assert_allclose(joints[r], want_joint, rtol=1e-12)
         zero_prior += live.size < m
-    assert swapped and empty and zero_prior
+    assert swapped and empty and zero_prior and stopped_early
 
 
 def test_chain_starts_from_first_best_candidate(monkeypatch):
@@ -403,6 +416,30 @@ def test_sample_stored_assignments_never_overflows_to_zero_prior():
     top = FixedUniforms(np.nextafter(1.0, 0.0))
     assert sample_stored_assignments(system, 3, top).tolist() == [9, 9, 9]
     assert sample_stored_assignments(system, 2, FixedUniforms(0.0)).tolist() == [0, 0]
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    # the evidences and weights must not move by an ulp against the scipy
+    # call the port replaces; every float is compared with ==
+    rng = np.random.default_rng(41)
+    tied = with_neg_inf = 0
+    for _ in range(4000):
+        n = int(rng.integers(1, 71))
+        spread = 10.0 ** rng.uniform(-9, np.log10(500))
+        a = rng.normal(rng.normal(0, 100), spread, n)
+        if rng.random() < 0.3:
+            a[rng.integers(0, n, int(rng.integers(1, n + 1)))] = a.max()
+        if rng.random() < 0.3:
+            a[rng.integers(0, n, int(rng.integers(1, n + 1)))] = -np.inf
+        tied += np.count_nonzero(a == a.max()) > 1
+        with_neg_inf += bool(np.isneginf(a).any()) and np.isfinite(a.max())
+        assert analogy._logsumexp(a) == scipy_logsumexp(a), a
+    assert tied > 100 and with_neg_inf > 100
+    for a in ([-np.inf] * 3, [np.inf, 1.0], [np.inf, -np.inf], [-np.inf]):
+        assert analogy._logsumexp(np.array(a)) == scipy_logsumexp(np.array(a)), a
+    for a in ([np.nan, 1.0], [np.inf, np.nan], [-np.inf, np.nan]):
+        assert np.isnan(analogy._logsumexp(np.array(a)))
+        assert np.isnan(scipy_logsumexp(np.array(a)))
 
 
 def test_harmonic_mean_constant_case_is_exact():

@@ -20,6 +20,7 @@ from relgen import (
     emit_summary_csv,
     evaluate,
     main,
+    optimize_tau,
     parse_results_csv,
     run_experiment,
     summarize,
@@ -90,8 +91,11 @@ def test_evaluate_frozen_values():
 def test_evaluate_validation():
     with pytest.raises(DimensionError):
         evaluate(np.array([0.5, 0.5]), np.array([1]))
-    with pytest.raises(ValueError):
-        evaluate(np.array([0.5]), np.array([2]))
+    for bad in (2, 0.5, -1, np.nan):
+        with pytest.raises(ValueError):
+            evaluate(np.array([0.5, 0.5]), np.array([1, bad]))
+    p = np.array([0.9, 0.2])
+    assert evaluate(p, np.array([True, False])) == evaluate(p, np.array([1, 0]))
 
 
 # -------------------------------------------------------------------- config
@@ -538,21 +542,37 @@ def test_per_cell_and_global_tau_agree_on_one_cell():
     assert csvs[0].count(",hybrid,") == 2 and ",error," not in csvs[0]
 
 
-@pytest.mark.parametrize("tau_mode", ["per-cell", "validation-split"])
+@pytest.mark.parametrize("tau_mode", VALID_TAU_MODES)
 def test_failed_tau_search_errors_only_its_row(tau_mode, monkeypatch):
-    # a row scored within its cell keeps no payload once its search fails,
-    # so the run returns with only the hybrid rows marked as errors
-    def fail(*args, **kwargs):
-        raise OptimizationError("non-finite score at tau=1.0", 1.0)
+    # a failed search marks only the rows it scores as errors (one row, or
+    # under global mode its K's rows) and the run returns every row
+    searches = []
 
-    monkeypatch.setattr("relgen.cli.optimize_tau", fail)
+    def fail_from(first_ok):
+        def search(*args, **kwargs):
+            searches.append(1)
+            if len(searches) < first_ok:
+                raise OptimizationError("non-finite score at tau=1.0", 1.0)
+            return optimize_tau(*args, **kwargs)
+        return search
+
     config = tiny_config(n_target_systems=1, stored_counts=(1, 2), tau_mode=tau_mode)
-    rows = run_experiment(config, materialize_systems(tiny_config()))
+    systems = materialize_systems(tiny_config())
+    monkeypatch.setattr("relgen.cli.optimize_tau", fail_from(first_ok=float("inf")))
+    rows = run_experiment(config, systems)
     hybrid = [r for r in rows if r.model == "hybrid"]
     assert len(hybrid) == 4
-    assert all(r.status == "error" and r.score is None for r in hybrid)
-    assert all("OptimizationError" in r.error for r in hybrid)
+    assert all(r.status == "error" and r.score is None and r.n_test == 0 for r in hybrid)
+    assert all(r.error == "OptimizationError: non-finite score at tau=1.0" for r in hybrid)
     assert all(r.status == "ok" for r in rows if r.model != "hybrid")
+
+    searches.clear()
+    monkeypatch.setattr("relgen.cli.optimize_tau", fail_from(first_ok=2))
+    rows = run_experiment(config, systems)
+    errored = [r for r in rows if r.status == "error"]
+    assert len(errored) == (2 if tau_mode == "global" else 1)
+    assert all(r.model == "hybrid" and r.n_stored == errored[0].n_stored for r in errored)
+    assert sum(r.model == "hybrid" and r.score is not None for r in rows) == 4 - len(errored)
 
 
 # the spans the benchmark's tracer records from calls made inside the grid
@@ -758,6 +778,11 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
     no_entities.write_text(json.dumps(
         {"n_entities": 0, "cells": [], "observed_idx": [], "test_idx": []}
     ))
+    # one cell is (-1) * (-1) cells, so only the entity count is wrong
+    negative_entities = tmp_path / "negative-entities.json"
+    negative_entities.write_text(json.dumps(
+        {"n_entities": -1, "cells": [0], "observed_idx": [], "test_idx": []}
+    ))
     out = tmp_path / "p.csv"
     to_out = ["--out", str(out)]
     cases = [
@@ -805,6 +830,8 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
          "error: --dataset: "),
         (["infer", "--dataset", str(no_entities), "--model", "hybrid",
           "--systems-dir", str(systems)] + to_out, "error: --dataset: "),
+        (["infer", "--dataset", str(negative_entities), "--model", "irm"] + to_out,
+         "error: --dataset: n_entities must be at least 1, got -1"),
         (["generate", "--out-dir", str(out), "--alpha", "nan"],
          "error: generation_alpha must be positive and finite"),
         (["generate", "--out-dir", str(out), "--gamma", "inf"],
