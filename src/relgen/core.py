@@ -412,5 +412,8 @@ def predictive_prob(component_probs, weights):
     if (w < 0).any() or abs(w.sum() - 1.0) > 1e-6:
         raise ValueError("weights must be nonnegative and sum to 1")
     live = w > 0.0
-    mixed = clamp_probs(p[..., live] @ w[live])
-    return float(mixed) if p.ndim == 1 else mixed
+    mixed = p[..., live] @ w[live]
+    if p.ndim == 2:
+        return clamp_probs(mixed)
+    # np.clip's result, without its cost on a 0-d value; NaN passes through
+    return min(max(float(mixed), PROB_EPS), 1.0 - PROB_EPS)

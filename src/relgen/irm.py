@@ -37,6 +37,13 @@ from .core import (
 from .crp import _log_prior_from_counts
 
 MH_PROPOSAL_SCALE = 0.5
+# shortest run ahead, and streak of stays behind, that _sweep scores in one
+# pass: a run that ends at its first entities costs more than updating them
+# one by one
+_MIN_RUN = 3
+# most entities one pass scores: the rows after a run's first mover are
+# discarded, so an uncapped run would waste rows in proportion to n
+_MAX_RUN = 32
 
 
 @dataclass(frozen=True)
@@ -263,20 +270,90 @@ def _detached_logweights(state: _ChainState, i: int, hp: Hyperparameters):
     gather, spread, order, signs = _kernel_layout(tallies.shape[1])[:4]
     entries = state.counts.take(gather)
     entries += tallies.take(spread)
-    n1, n0 = entries.astype(np.intp)
-    t1, t2 = state.lgamma
-    values = t1.take(n1) + t1.take(n0) - t2.take(n1 + n0)
+    values = _log_betas(state.lgamma, entries)
     state.log_seats[-1] = math.log(hp.gamma)
     return values.take(order).dot(signs) + state.log_seats, entries
 
 
+def _log_betas(lgamma: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """ln B(alpha + n1, alpha + n0) of each entry of a (..., 2, entries)
+    array of link / non-link counts: three gathers from the tables."""
+    n1, n0 = entries.swapaxes(0, -2).astype(np.intp, order="C")
+    t1, t2 = lgamma
+    return t1.take(n1) + t1.take(n0) - t2.take(n1 + n0)
+
+
+def _run_logweights(state: _ChainState, start: int, stop: int, hp: Hyperparameters):
+    """Yield in order the log-weights and entries that
+    ``_detached_logweights`` gives each of entities start .. stop - 1, none
+    of them alone in its class, all scored at the current state in one pass.
+
+    Each one's detach is an integer correction: its own tally column leaves
+    its class, and its tallies leave the counts at ``put[old]``.  Each row
+    is folded by its own dot, as on the per-entity path, so the two agree
+    bit for bit.  Between yields the state is as before the run, so a stay
+    is committed by doing nothing; a consumer that changes the state stops.
+    """
+    slots = state.counts.shape[1]
+    gather, spread, order, signs, _, put, unspread = _kernel_layout(slots)
+    rows = np.arange(stop - start)
+    classes = np.array(state.z[start:stop])
+    raw = state.tallies[start:stop]
+    tallies = raw.reshape(-1, raw.shape[2]).dot(state.onehot[:, :slots]).reshape(-1, 6, slots)
+    tallies[rows, :, classes] -= raw[rows, :, rows + start]
+    tallies = tallies.reshape(rows.size, -1)
+    counts = np.repeat(state.counts.reshape(1, -1), rows.size, 0)
+    at = rows[:, None]
+    counts[at, put.take(classes, 0)] -= tallies[at, unspread.take(classes, 0)]
+    entries = counts.take(gather, 1)
+    entries += tallies.take(spread, 1)
+    folded = _log_betas(state.lgamma, entries).take(order, 1)
+    seats, sizes = state.log_seats, state.sizes
+    seats[-1] = math.log(hp.gamma)
+    for r, old in enumerate(classes.tolist()):
+        seats[old] = math.log(sizes[old] - 1)
+        logw = folded[r].dot(signs) + seats
+        seats[old] = math.log(sizes[old])
+        yield logw, entries[r]
+
+
 def _sweep(state: _ChainState, hp: Hyperparameters, rng) -> None:
-    """Reassign every entity in index order from its collapsed conditional."""
+    """Reassign every entity in index order from its collapsed conditional.
+
+    From entity i up to the next entity alone in its class, at most
+    ``_MAX_RUN`` entities are scored at the current state in one pass
+    (``_run_logweights``) and drawn in order: a stay changes nothing, and
+    the first entity that moves is committed from the run's own entries and
+    ends the run.  An entity alone in its class, whose detach closes the
+    class, takes the per-entity path, and so does every entity while the run
+    ahead, or the streak of stays behind, is shorter than ``_MIN_RUN``.
+    Both paths draw each entity once from the same log-weights.
+    """
     state.tabulate(hp.alpha)
     uniforms = rng.random(len(state.z)).tolist()
-    for i, u in enumerate(uniforms):
-        logw, entries = _detached_logweights(state, i, hp)
-        _attach(state, i, _sample_logweights(logw.tolist(), u), entries)
+    n = len(uniforms)
+    i, streak = 0, _MIN_RUN
+    while i < n:
+        stop, end = i, min(n, i + _MAX_RUN)
+        while streak >= _MIN_RUN and stop < end and state.sizes[state.z[stop]] > 1:
+            stop += 1
+        if stop - i >= _MIN_RUN:
+            streak = 0
+            for i, (logw, entries) in enumerate(_run_logweights(state, i, stop, hp), i):
+                choice = _sample_logweights(logw.tolist(), uniforms[i])
+                if choice != state.z[i]:
+                    _detach(state, i)
+                    _attach(state, i, choice, entries)
+                    break
+                streak += 1
+        else:
+            old, alone = state.z[i], state.sizes[state.z[i]] == 1
+            logw, entries = _detached_logweights(state, i, hp)
+            choice = _sample_logweights(logw.tolist(), uniforms[i])
+            _attach(state, i, choice, entries)
+            # alone, it stays by taking the fresh class
+            streak = streak + 1 if choice == (len(logw) - 1 if alone else old) else 0
+        i += 1
 
 
 def conditional_class_logweights(

@@ -1,6 +1,7 @@
 """Shared containers and probability primitives."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from relgen import (
     pair_counts,
     predictive_prob,
 )
+from relgen.core import PROB_EPS
 
 from oracles import block_counts, marginal_loglik
 
@@ -303,6 +305,31 @@ def test_predictive_prob_rows_match_single_cell_calls(n_components):
     single = np.array([predictive_prob(comps[i], w) for i in range(len(comps))])
     assert_allclose(mixed, single, rtol=1e-13, atol=0)
     assert predictive_prob(comps[:0], w).shape == (0,)
+
+
+def test_one_cell_clamp_matches_np_clip_bit_for_bit():
+    # a one-cell result is clamped with min/max, not np.clip; the bits must
+    # be np.clip's below, at, inside and above the bounds, and for NaN
+    rng = np.random.default_rng(12)
+    lo, hi = PROB_EPS, 1.0 - PROB_EPS
+    edges = [
+        -math.inf, -1.0, -0.0, 0.0, lo / 2, np.nextafter(lo, 0), lo, np.nextafter(lo, 1),
+        0.5, np.nextafter(hi, 0), hi, np.nextafter(hi, 1), 1.0, 2.0, math.inf, math.nan,
+    ]
+    near = np.r_[rng.uniform(0, 2 * lo, 500), 1.0 - rng.uniform(0, 2 * lo, 500)]
+    for value in [*edges, *near, *rng.random(1000)]:
+        got = predictive_prob(np.array([value]), np.array([1.0]))
+        want = float(np.clip(np.float64(value), lo, hi))
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want), value
+    for _ in range(1000):
+        k = int(rng.integers(1, 7))
+        comps = rng.random(k) * rng.choice([1e-7, 1.0, 1.0 + 1e-6])
+        w = rng.random(k) * (rng.random(k) < 0.8)
+        w = w / w.sum() if w.sum() > 0 else np.eye(k)[0]
+        live = w > 0
+        want = float(np.clip(comps[live] @ w[live], lo, hi))
+        assert struct.pack("<d", predictive_prob(comps, w)) == struct.pack("<d", want)
 
 
 def test_predictive_prob_validation():

@@ -15,6 +15,7 @@ from relgen import (
     Partition,
     RelationData,
     StoredSystem,
+    canonical_labels,
     collapsed_loglik,
     conditional_class_logweights,
     gibbs_sweep,
@@ -236,17 +237,18 @@ def test_sweep_conditionals_at_alpha_bounds(monkeypatch, alpha):
 
 def test_sweep_conditionals_reach_the_last_table_entry(monkeypatch):
     # fully observed and one class: re-attaching an entity fills a block
-    # with every observed cell, the last index of the log-gamma tables
+    # with every observed cell, the last index of the log-gamma tables; the
+    # entries the tables are indexed with are the same on both sweep paths
     n = 6
     data = RelationData(n, np.random.default_rng(4).integers(0, 2, (n, n)), np.ones((n, n), bool))
     largest = []
-    attach = irm._attach
+    log_betas = irm._log_betas
 
-    def record(state, i, choice, entries):
-        largest.append(entries.sum(0).max())
-        attach(state, i, choice, entries)
+    def record(lgamma, entries):
+        largest.append(entries.sum(-2).max())
+        return log_betas(lgamma, entries)
 
-    monkeypatch.setattr(irm, "_attach", record)
+    monkeypatch.setattr(irm, "_log_betas", record)
     for alpha in (HYPER_MIN, 1.0, HYPER_MAX):
         hp = Hyperparameters(alpha=alpha, gamma=HYPER_MIN)
         assert_sweep_matches_reference(monkeypatch, data, Partition.from_assignments([0] * n), hp)
@@ -296,6 +298,85 @@ def test_counts_stay_exact_through_births_and_deaths(monkeypatch):
         monkeypatch, empty, Partition.from_assignments([0, 1, 0, 2, 1]), hp, 4
     )
     assert events["births"] > 0 and events["deaths"] > 0
+
+
+def _batch_cases():
+    """(data, partition, hyperparameters) covering 1 to 12 classes with
+    singletons among them, an empty observed set, a fully observed matrix,
+    and n = 1 and 2."""
+    rng = np.random.default_rng(41)
+    labelings = []
+    for k in range(1, 13):
+        n = k + int(rng.integers(2, 2 * k + 4))
+        # classes 0 .. k-1 once each; the first k // 3 of them stay singletons
+        labels = np.r_[np.arange(k), rng.integers(k // 3, k, n - k)]
+        labelings.append(canonical_labels(rng.permutation(labels)))
+    cases = []
+    for labels in labelings + [[0], [0, 0], [0, 1]]:
+        for fraction in (0.0, 0.15, 0.6, 1.0):
+            data = random_data(rng, len(labels), observed_fraction=fraction)
+            alpha, gamma = rng.uniform(0.2, 3.0, 2).tolist()
+            hp = Hyperparameters(alpha=alpha, gamma=gamma)
+            cases.append((data, Partition.from_assignments(labels), hp))
+    return cases
+
+
+def test_run_logweights_equal_the_per_entity_detach():
+    # every row of a batched run, from every starting entity, must be the
+    # very log-weights and entries the per-entity path computes at that state
+    rows_checked = 0
+    for data, part, hp in _batch_cases():
+        shared = (part.counts[part.assignments] > 1).tolist()
+        for start in range(data.n_entities):
+            stop = start
+            while stop < data.n_entities and shared[stop]:
+                stop += 1
+            if stop == start:
+                continue
+            state = irm._ChainState(data, part)
+            state.tabulate(hp.alpha)
+            z, counts = list(state.z), state.counts.copy()
+            rows = irm._run_logweights(state, start, stop, hp)
+            for i, (logw, entries) in enumerate(rows, start):
+                alone = irm._ChainState(data, part)
+                alone.tabulate(hp.alpha)
+                alone.log_seats = state.log_seats.copy()
+                want_logw, want_entries = irm._detached_logweights(alone, i, hp)
+                assert np.array_equal(logw, want_logw)
+                assert np.array_equal(entries, want_entries)
+                rows_checked += 1
+            assert i == stop - 1
+            # the run scored every entity without changing the state
+            assert state.z == z and np.array_equal(state.counts, counts)
+    assert rows_checked > 1000
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_chain_is_the_same_on_the_per_entity_path(monkeypatch, fraction):
+    rng = np.random.default_rng(int(fraction * 10))
+    n = 24
+    z = rng.integers(0, 4, n)
+    link = rng.random((4, 4)) ** 2
+    data = RelationData(n, rng.random((n, n)) < link[z][:, z], rng.random((n, n)) < fraction)
+    schedule = McmcSchedule(burn_in=30, n_retained=10, thinning=2, seed=5)
+    runs = irm._run_logweights
+    chains = {}
+    # (min run, max run): the defaults, batch whenever possible, the same
+    # with runs cut at 4 entities, and per-entity only
+    for bounds in ((irm._MIN_RUN, irm._MAX_RUN), (1, n), (1, 4), (n + 1, n)):
+        batches = []
+        with monkeypatch.context() as patch:
+            patch.setattr(irm, "_MIN_RUN", bounds[0])
+            patch.setattr(irm, "_MAX_RUN", bounds[1])
+            patch.setattr(irm, "_run_logweights", lambda *a: batches.append(a) or runs(*a))
+            chains[bounds] = run_irm_chain(data, schedule)
+        assert bool(batches) == (bounds[0] <= n)
+        assert max((stop - start for _, start, stop, _ in batches), default=0) <= bounds[1]
+    per_entity = chains.pop((n + 1, n))
+    for chain in chains.values():
+        assert np.array_equal(chain.partitions, per_entity.partitions)
+        assert np.array_equal(chain.logliks, per_entity.logliks)
+        assert np.array_equal(chain.alphas, per_entity.alphas)
 
 
 def test_single_entity_kernel_detailed_balance():
