@@ -31,6 +31,7 @@ from .core import (
     canonical_labels,
     clamp_probs,
     collapsed_loglik,
+    harmonic_mean_evidence,
     pair_counts,
     predictive_prob,
 )
@@ -50,7 +51,6 @@ from .analogy import (
     analogy_report,
     analogy_weights,
     gibbs_sweep_stored,
-    harmonic_mean_evidence,
     run_stored_chain,
     sample_stored_assignments,
     stored_component_predictions,

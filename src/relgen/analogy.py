@@ -3,9 +3,9 @@
 A stored system fixes its class-pair link probabilities and a class prior;
 mapping a new set of entities onto the system means sampling their class
 assignments (classes may go unused, and no new class can open).  Each
-system's marginal likelihood for the observed relation is estimated from
-posterior draws by the harmonic mean rule, and systems compete through
-posterior weights over the pool.
+system's marginal likelihood for the observed relation is its chain's
+``PosteriorSamples.log_evidence``, and systems compete through posterior
+weights over the pool.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .core import (
     _check_assignments,
     _log_tables,
     _loglik_from_counts,
+    _logsumexp,
     pair_counts,
     predictive_prob,
 )
@@ -251,41 +252,6 @@ def run_stored_chain(
     return PosteriorSamples(draws, logliks, f"stored:{system.name}")
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a non-empty 1-d float array, with the arithmetic
-    of ``scipy.special.logsumexp`` (1.17) for real input, bit for bit.
-
-    The entries tied at the maximum are held out of the shifted sum and
-    counted instead; a non-finite maximum (all -inf, +inf or NaN) is the
-    result itself.  Skips scipy's array-API dispatch, which costs far more
-    than the arithmetic on the short vectors here.
-    """
-    top = a.max()
-    if not np.isfinite(top):
-        return float(top)
-    ties = a == top
-    shifted = np.exp(a - top)
-    shifted[ties] = 0.0
-    n_ties = np.count_nonzero(ties)
-    return float(np.log1p(shifted.sum() / n_ties) + np.log(n_ties) + top)
-
-
-def harmonic_mean_evidence(logliks) -> float:
-    """Harmonic-mean estimate of the log marginal likelihood.
-
-    Given per-draw log-likelihoods l_q from the posterior, the estimator is
-
-        -( logsumexp(-l_q) - log Q )
-
-    i.e. the reciprocal of the average reciprocal likelihood, in log space.
-    Cheap but heavy-tailed; treat the result as a rough evidence signal.
-    """
-    ll = np.asarray(logliks, dtype=np.float64)
-    if ll.ndim != 1 or ll.size == 0:
-        raise ValueError("need a non-empty 1-d array of log-likelihoods")
-    return float(-(_logsumexp(-ll) - np.log(ll.size)))
-
-
 def analogy_weights(log_evidences, log_priors=None) -> np.ndarray:
     """Posterior weights over systems from log-evidences and log-priors.
 
@@ -324,14 +290,14 @@ def stored_component_predictions(
 
 
 def _hm_log_evidences(samples_list) -> np.ndarray:
-    """Harmonic-mean log-evidence of each chain.  The chains must have equal
-    draw counts, so that their estimates are comparable."""
+    """Each chain's own ``log_evidence``.  The chains must have equal draw
+    counts, so that their estimates are comparable."""
     draw_counts = {s.n_draws for s in samples_list}
     if len(draw_counts) != 1:
         raise ConfigError(
             f"equal draw counts required across chains, got {sorted(draw_counts)}"
         )
-    return np.asarray([harmonic_mean_evidence(s.logliks) for s in samples_list])
+    return np.asarray([s.log_evidence for s in samples_list])
 
 
 def _stored_columns(samples_list, systems, cells) -> np.ndarray:

@@ -42,7 +42,6 @@ from .core import (
     predictive_prob,
 )
 from .analogy import (
-    AnalogyReport,
     analogy_predict_cells,
     analogy_report,
     run_stored_chain,
@@ -388,7 +387,8 @@ class _Cell:
     (seed, "theory-chain").  Pool size K uses the first K systems of
     ``pool``.  The stored chains run together for the largest of ``counts``
     the pool can serve, and a row passes the first K of them to the library's
-    evidence and prediction functions, so rows of different K are paired; a
+    evidence and prediction functions (the evidence being each chain's own
+    ``log_evidence``, estimated once), so rows of different K are paired; a
     K beyond the pool fails only its own rows.  Each chain runs on first use,
     so a cell without irm or hybrid rows runs no theory chain.
 
@@ -438,8 +438,8 @@ class _Cell:
                 "weights": tuple(zip(report.names, (float(x) for x in report.weights))),
             }
             return bits, preds, report, None
+        report = analogy_report(systems, chains)
         log_ev = hybrid_log_evidences(chains, self.theory)
-        report = AnalogyReport(tuple(s.name for s in systems), log_ev[:-1])
         comps = hybrid_component_predictions(chains, self.theory, systems, data, cells)
         tau_comps, tau_truths = comps, truths
         if self.validation_seed is not None:

@@ -253,6 +253,41 @@ class Hyperparameters:
                 )
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a non-empty 1-d float array, with the arithmetic
+    of ``scipy.special.logsumexp`` (1.17) for real input, bit for bit.
+
+    The entries tied at the maximum are held out of the shifted sum and
+    counted instead; a non-finite maximum (all -inf, +inf or NaN) is the
+    result itself.  Skips scipy's array-API dispatch, which costs far more
+    than the arithmetic on the short vectors here.
+    """
+    top = a.max()
+    if not np.isfinite(top):
+        return float(top)
+    ties = a == top
+    shifted = np.exp(a - top)
+    shifted[ties] = 0.0
+    n_ties = np.count_nonzero(ties)
+    return float(np.log1p(shifted.sum() / n_ties) + np.log(n_ties) + top)
+
+
+def harmonic_mean_evidence(logliks) -> float:
+    """Harmonic-mean estimate of the log marginal likelihood.
+
+    Given per-draw log-likelihoods l_q from the posterior, the estimator is
+
+        -( logsumexp(-l_q) - log Q )
+
+    i.e. the reciprocal of the average reciprocal likelihood, in log space.
+    Cheap but heavy-tailed; treat the result as a rough evidence signal.
+    """
+    ll = np.asarray(logliks, dtype=np.float64)
+    if ll.ndim != 1 or ll.size == 0 or not np.isfinite(ll).all():
+        raise ValueError("need a non-empty 1-d array of finite log-likelihoods")
+    return float(-(_logsumexp(-ll) - np.log(ll.size)))
+
+
 @dataclass(frozen=True, eq=False)
 class PosteriorSamples:
     """Retained MCMC draws: one assignment vector and log-likelihood each.
@@ -262,13 +297,15 @@ class PosteriorSamples:
     are canonical partitions and ``alphas`` records the Beta concentration
     alongside each draw (the collapsed predictive rule needs it).  For
     stored-system chains the rows index into the system's fixed class space
-    and classes may be empty.
+    and classes may be empty.  ``log_evidence``, the chain's log marginal
+    likelihood, is `harmonic_mean_evidence` of ``logliks``, derived once.
     """
 
     partitions: np.ndarray
     logliks: np.ndarray
     model_tag: str
     alphas: np.ndarray | None = None
+    log_evidence: float = field(init=False)
 
     def __post_init__(self):
         logliks = _frozen_array(self.logliks, np.float64)
@@ -286,6 +323,7 @@ class PosteriorSamples:
             raise ValueError("draw log-likelihoods must be finite")
         object.__setattr__(self, "partitions", parts)
         object.__setattr__(self, "logliks", logliks)
+        object.__setattr__(self, "log_evidence", harmonic_mean_evidence(logliks))
         if self.alphas is not None:
             alphas = _frozen_array(self.alphas, np.float64)
             if alphas.shape != (len(parts),):

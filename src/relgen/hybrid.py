@@ -42,10 +42,10 @@ def hybrid_prior(n_stored: int, tau: float) -> np.ndarray:
 
 
 def hybrid_log_evidences(stored_samples, irm_samples: PosteriorSamples) -> np.ndarray:
-    """Harmonic-mean log-evidence per component, theory last.
+    """Each component chain's ``log_evidence``, theory last.
 
-    The stored entries use each chain's Bernoulli log-likelihood draws; the
-    theory entry uses the collapsed log-likelihood draws of the fresh chain.
+    The stored entries come from each chain's Bernoulli log-likelihood draws,
+    the theory entry from the fresh chain's collapsed log-likelihood draws.
     All chains must have the same draw count so the estimates are comparable.
     """
     stored_samples = list(stored_samples)

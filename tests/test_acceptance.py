@@ -245,7 +245,8 @@ def trend_rows():
         tau_lower=-12.0,
         tau_upper=12.0,
     )
-    rows = run_experiment(config)
+    # grid output does not depend on workers, and two cut the fixture's wall time
+    rows = run_experiment(config, workers=2)
     assert all(r.status == "ok" for r in rows)
     return rows
 

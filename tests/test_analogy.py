@@ -458,6 +458,12 @@ def test_harmonic_mean_validation():
         harmonic_mean_evidence(np.array([]))
     with pytest.raises(ValueError):
         harmonic_mean_evidence(np.zeros((2, 2)))
+    # the same contract as PosteriorSamples: every draw's log-likelihood finite
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            harmonic_mean_evidence(np.array([-1.0, bad]))
+        with pytest.raises(ValueError):
+            harmonic_mean_evidence([bad])
 
 
 def test_harmonic_mean_against_conjugate_model():

@@ -1,6 +1,7 @@
 """Seed derivation, config handling, the experiment grid, CSV, and commands."""
 
 import json
+import pickle
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -13,12 +14,16 @@ from relgen import (
     DimensionError,
     ExperimentConfig,
     OptimizationError,
+    PosteriorSamples,
     RelationData,
     ResultRow,
+    analogy_report,
     derive_seed,
     emit_results_csv,
     emit_summary_csv,
     evaluate,
+    harmonic_mean_evidence,
+    hybrid_log_evidences,
     main,
     optimize_tau,
     parse_results_csv,
@@ -513,6 +518,47 @@ def test_cell_runs_each_chain_once_and_pairs_its_rows(monkeypatch):
     # nor does the theory row depend on the other models
     irm_only = run_experiment(tiny_config(models=("irm",)))
     assert csv_of(rows, "irm", None) == emit_results_csv(irm_only)
+
+
+def test_each_chain_estimates_its_evidence_once(monkeypatch):
+    import relgen.cli as cli
+    import relgen.core as core
+
+    calls = []
+
+    def counting(logliks):
+        calls.append(logliks)
+        return harmonic_mean_evidence(logliks)
+
+    pool, stored, theories = [], [], []
+    real_stored, real_theory = cli.run_stored_chain, cli.run_irm_chain
+
+    def stored_chain(data, system, schedule):
+        pool.append(system)
+        stored.append(real_stored(data, system, schedule))
+        return stored[-1]
+
+    def theory_chain(data, schedule):
+        theories.append(real_theory(data, schedule))
+        return theories[-1]
+
+    monkeypatch.setattr(core, "harmonic_mean_evidence", counting)
+    monkeypatch.setattr(cli, "run_stored_chain", stored_chain)
+    monkeypatch.setattr(cli, "run_irm_chain", theory_chain)
+    config = tiny_config(n_target_systems=1, observed_fractions=(0.5,), stored_counts=(2, 3))
+    rows = run_experiment(config, materialize_systems(tiny_config(n_target_systems=4)))
+    assert all(r.status == "ok" for r in rows) and len(rows) == 5
+    # three stored chains and one theory chain, each estimated when it ran
+    assert len(calls) == 4
+    (theory,) = theories
+    own = np.array([c.log_evidence for c in stored + [theory]])
+    assert np.array_equal(analogy_report(pool, stored).log_evidences, own[:-1])
+    assert np.array_equal(hybrid_log_evidences(stored, theory), own)
+    for chain in stored + [theory]:
+        assert chain.log_evidence == harmonic_mean_evidence(chain.logliks)
+        assert pickle.loads(pickle.dumps(chain)).log_evidence == chain.log_evidence
+    with pytest.raises(TypeError):
+        PosteriorSamples(theory.partitions, theory.logliks, "irm", log_evidence=0.0)
 
 
 def test_run_experiment_global_tau_is_shared():

@@ -15,6 +15,8 @@ from relgen import (
     DimensionError,
     McmcSchedule,
     OptimizationError,
+    RelationData,
+    analogy_report,
     analogy_weights,
     harmonic_mean_evidence,
     hybrid_component_predictions,
@@ -88,6 +90,30 @@ def test_log_evidences_order_and_validation():
     short = run_irm_chain(data, McmcSchedule(10, 5, 1, 3))
     with pytest.raises(ConfigError):
         hybrid_log_evidences(chains, short)  # draw counts differ
+
+
+def test_empty_observed_set_leaves_the_prior():
+    # no observed cell: every draw's log-likelihood is 0, so is every chain's
+    # evidence, and the weights are the prior at any tau
+    data = RelationData(6, np.zeros((6, 6)), np.zeros((6, 6), dtype=bool), ((0, 1), (2, 3)))
+    pool = [two_class_system("a"), two_class_system("b"), two_class_system("c")]
+    sched = McmcSchedule(burn_in=5, n_retained=8, thinning=1, seed=3)
+    chains = [run_stored_chain(data, s, sched.with_seed(4 + i)) for i, s in enumerate(pool)]
+    irm = run_irm_chain(data, sched)
+    assert [c.log_evidence for c in chains + [irm]] == [0.0] * 4
+    assert_allclose(analogy_report(pool, chains).weights, np.full(3, 1 / 3), rtol=1e-15)
+    le = hybrid_log_evidences(chains, irm)
+    for tau in (1e-4, 1.0, 1e4):
+        assert_allclose(hybrid_weights(le, tau), hybrid_prior(3, tau), rtol=1e-14)
+
+
+def test_one_entity_self_cell_evidence():
+    # under a symmetric Beta(alpha, alpha), one observed cell has collapsed
+    # likelihood alpha / (2 alpha) = 1/2 whatever alpha the chain draws
+    for link in (0, 1):
+        data = RelationData(1, [[link]], [[True]])
+        irm = run_irm_chain(data, McmcSchedule(burn_in=5, n_retained=20, thinning=1, seed=9))
+        assert_allclose(irm.log_evidence, np.log(0.5), rtol=1e-12)
 
 
 def test_tau_extremes_recover_pure_models():
