@@ -155,9 +155,9 @@ class ExperimentConfig:
     systems_dir: str | None = None
     n_target_systems: int = 101
     test_fraction: float = 0.1
-    burn_in: int = 500
-    n_retained: int = 100
-    thinning: int = 5
+    burn_in: int = McmcSchedule.burn_in
+    n_retained: int = McmcSchedule.n_retained
+    thinning: int = McmcSchedule.thinning
     master_seed: int = 0
     tau_lower: float = TAU_LOG10_LOWER
     tau_upper: float = TAU_LOG10_UPPER
@@ -505,13 +505,13 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
     """Run the rows of one (target, fraction) cell from one set of chains.
 
     Returns one (ResultRow, hybrid payload or None) per row of `_cell_rows`,
-    in order.  Under the per-cell and validation-split tau modes a hybrid row
-    is scored by `_score_hybrid` within its own row, so its wall time includes
-    its tau search and a failing search errors only that row.  Under the
-    global mode it comes back unscored with its payload, and `_scored_rows`
-    chooses its tau once every cell has run.  A row that raises is recorded
-    with an error marker and the cell's other rows still complete.  A row's
-    wall time includes the split and chains it was the first to need.
+    in order.  Hybrid rows are fitted unscored, then scored by `_scored_rows`:
+    here under the per-cell and validation-split tau modes, each at its own
+    tau (a cell holds one hybrid row per K), or, under the global mode, once
+    every cell has run, so they come back with their payloads.  A row that
+    raises is recorded with an error marker and the cell's other rows still
+    complete.  A row's wall time includes the split and chains it was the
+    first to need, and never its tau search.
     """
     target = systems[target_index]
     seed = derive_seed(config.master_seed, "cell", target.name, fraction_index)
@@ -542,17 +542,16 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
                     seed,
                     validation_seed,
                 )
-            bits, _, _, fitted = cell.fit(model, k)
-            if fitted is not None and config.tau_mode != "global":
-                ((bits, _),) = _score_hybrid([fitted], (config.tau_lower, config.tau_upper))
+            bits, _, _, payload = cell.fit(model, k)
             fields.update(n_test=len(cell.data.test_cells), **bits)
-            payload = fitted if bits["score"] is None else None
         except Exception as exc:  # noqa: BLE001 - a row failure must not kill the run
             fields.update(_error_fields(exc))
         now = time.perf_counter()
         out.append((ResultRow(**fields, wall_seconds=now - start), payload))
         start = now
-    return out
+    if config.tau_mode == "global":
+        return out
+    return [(row, None) for row in _scored_rows(out, (config.tau_lower, config.tau_upper))]
 
 
 # (config, systems) of the grid a worker process serves; set by the pool's
@@ -571,8 +570,9 @@ def _execute_task(cell):
 
 def _scored_rows(results, bounds) -> list[ResultRow]:
     """The rows of (row, payload or None) pairs, the unscored hybrid rows of
-    each pool size K scored by `_score_hybrid` at one tau shared by them.  A
-    search that raises marks only its own K's rows as errors."""
+    each pool size K scored by `_score_hybrid` at one tau shared by them: the
+    grid's one tau chooser, given one cell's rows or, under global mode, the
+    grid's.  A search that raises marks only its own K's rows as errors."""
     rows = [row for row, _ in results]
     by_k: dict[int, list[int]] = {}
     for i, (_, payload) in enumerate(results):
@@ -924,9 +924,14 @@ def _cmd_experiment(args) -> int:
         return _usage_error(str(exc))
     progress = None
     if args.verbose:
-        progress = lambda done, total: print(
-            f"row {done}/{total}", file=sys.stderr, flush=True
-        )
+        start = time.perf_counter()
+
+        def progress(done, total):
+            rate = done / max(time.perf_counter() - start, 1e-9)
+            eta = (total - done) / rate
+            print(f"row {done}/{total}, {rate:.3g} rows/s, ETA {eta:.0f} s",
+                  file=sys.stderr, flush=True)
+
     try:
         rows = run_experiment(config, systems, workers=args.workers, progress=progress)
     except ConfigError as exc:  # raised before any cell runs
@@ -1015,7 +1020,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-timing", action="store_true", default=None)
     p.add_argument("--keep-going", action="store_true",
                    help="exit 0 even when some rows errored")
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true",
+                   help="report rows done, rows/s and ETA on stderr")
     _add_schedule_flags(p)
     p.set_defaults(func=_cmd_experiment)
 

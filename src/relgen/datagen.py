@@ -143,6 +143,28 @@ def make_split(data: RelationData, spec: SplitSpec) -> RelationData:
 # File formats.  Both are canonical JSON documents; cell indices are flat
 # row-major positions (index = row * n + col).
 
+def _json_field(doc, key: str, kind: type, depth: int = 0):
+    """``doc[key]``, checked to be a JSON ``kind`` (int, float or str) inside
+    ``depth`` levels of lists.  An int passes as a float; a bool never passes.
+    Raises ValueError naming the key and the first value that does not fit."""
+
+    def misfit(value, depth):
+        if depth:
+            if not isinstance(value, list):
+                return f"a list, got {value!r}"
+            return next(filter(None, (misfit(v, depth - 1) for v in value)), None)
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            name = {int: "integer", float: "number", str: "string"}[kind]
+            return f"a JSON {name}, got {value!r}"
+        return None
+
+    problem = misfit(doc[key], depth)
+    if problem:
+        raise ValueError(f"{key}: expected {problem}")
+    return doc[key]
+
+
 def system_to_text(system: StoredSystem) -> str:
     doc: dict = {
         "name": system.name,
@@ -157,14 +179,14 @@ def system_to_text(system: StoredSystem) -> str:
 def system_from_text(text: str) -> StoredSystem:
     doc = json.loads(text)
     try:
-        name = doc["name"]
-        link = np.asarray(doc["eta"], dtype=np.float64)
-        class_probs = np.asarray(doc["zeta"], dtype=np.float64)
+        name = _json_field(doc, "name", str)
+        link = np.asarray(_json_field(doc, "eta", float, 2), dtype=np.float64)
+        class_probs = np.asarray(_json_field(doc, "zeta", float, 1), dtype=np.float64)
+        class_names = _json_field(doc, "class_names", str, 1) if "class_names" in doc else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed system document: {exc}") from exc
-    class_names = doc.get("class_names")
     system = StoredSystem(
-        str(name),
+        name,
         link,
         class_probs,
         tuple(class_names) if class_names is not None else None,
@@ -205,11 +227,11 @@ def dataset_to_text(data: RelationData) -> str:
 def dataset_from_text(text: str) -> RelationData:
     doc = json.loads(text)
     try:
-        n = int(doc["n_entities"])
-        cells = np.asarray(doc["cells"], dtype=np.int8)
-        observed_idx = np.asarray(doc["observed_idx"], dtype=np.int64)
-        test_idx = [int(i) for i in doc["test_idx"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = _json_field(doc, "n_entities", int)
+        cells = np.asarray(_json_field(doc, "cells", int, 1), dtype=np.int8)
+        observed_idx = np.asarray(_json_field(doc, "observed_idx", int, 1), dtype=np.int64)
+        test_idx = _json_field(doc, "test_idx", int, 1)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed dataset document: {exc}") from exc
     if n < 1:
         raise ValueError(f"n_entities must be at least 1, got {n}")

@@ -385,16 +385,6 @@ def gibbs_sweep(
     return state.to_partition()
 
 
-def _log_alpha_prior(alpha: float) -> float:
-    # power-law alpha^(-5/2), truncated to the hyperparameter box
-    return -2.5 * float(np.log(alpha))
-
-
-def _log_gamma_prior(gamma: float) -> float:
-    # Exponential(1), truncated to the hyperparameter box
-    return -float(gamma)
-
-
 def _mh_step(value, log_target, rng, scale) -> float:
     """Log-normal random-walk Metropolis step with Jacobian correction.
 
@@ -413,7 +403,8 @@ def _alpha_step(ones, zeros, hp: Hyperparameters, rng, scale) -> Hyperparameters
     """Metropolis step on alpha given the class-pair link/non-link counts."""
 
     def log_target(a: float) -> float:
-        return _log_alpha_prior(a) + _collapsed_from_counts(ones, zeros, a)
+        # power-law alpha^(-5/2) prior, truncated to the hyperparameter box
+        return -2.5 * float(np.log(a)) + _collapsed_from_counts(ones, zeros, a)
 
     return replace(hp, alpha=_mh_step(hp.alpha, log_target, rng, scale))
 
@@ -423,7 +414,8 @@ def _gamma_step(counts, hp: Hyperparameters, rng, scale) -> Hyperparameters:
     counts = np.asarray(counts, dtype=np.float64)
 
     def log_target(g: float) -> float:
-        return _log_gamma_prior(g) + _log_prior_from_counts(counts, g)
+        # Exponential(1) prior, truncated to the hyperparameter box
+        return -float(g) + _log_prior_from_counts(counts, g)
 
     return replace(hp, gamma=_mh_step(hp.gamma, log_target, rng, scale))
 

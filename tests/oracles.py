@@ -91,8 +91,9 @@ def irm_conditional_reference(data, labels, entity: int, alpha: float, gamma: fl
     return np.asarray(out)
 
 
-def exact_irm_partition_posterior(data, alpha: float, gamma: float) -> dict:
-    """Posterior over all partitions by brute-force enumeration."""
+def exact_irm_partition_posterior(data, alpha: float, gamma: float) -> tuple[dict, float]:
+    """Posterior over all partitions by brute-force enumeration, and the
+    theory evidence log p(observed cells | alpha, gamma) it normalizes by."""
     parts = set_partitions(data.n_entities)
     logw = np.asarray(
         [
@@ -100,9 +101,11 @@ def exact_irm_partition_posterior(data, alpha: float, gamma: float) -> dict:
             for z in parts
         ]
     )
-    probs = np.exp(logw - logsumexp(logw))
+    log_evidence = float(logsumexp(logw))
+    probs = np.exp(logw - log_evidence)
     probs = probs / probs.sum()
-    return {tuple(int(v) for v in z): float(p) for z, p in zip(parts, probs)}
+    posterior = {tuple(int(v) for v in z): float(p) for z, p in zip(parts, probs)}
+    return posterior, log_evidence
 
 
 def exact_irm_predictive(data, cells, alpha: float, gamma: float) -> np.ndarray:

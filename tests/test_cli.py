@@ -4,11 +4,13 @@ import json
 import pickle
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import relgen.cli
 from relgen import (
     ConfigError,
     DimensionError,
@@ -367,8 +369,9 @@ def test_run_experiment_grid_and_determinism():
     assert emit_results_csv(again) == emit_results_csv(rows)
 
 
-def test_run_experiment_worker_count_is_invisible():
-    config = tiny_config(n_target_systems=2)
+@pytest.mark.parametrize("tau_mode", VALID_TAU_MODES)
+def test_run_experiment_worker_count_is_invisible(tau_mode):
+    config = tiny_config(n_target_systems=2, tau_mode=tau_mode)
     alone = run_experiment(config, workers=1)
     pooled = run_experiment(config, workers=2)
     assert emit_results_csv(alone) == emit_results_csv(pooled)
@@ -812,6 +815,11 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
     doc["test_idx"] = doc["test_idx"][:1] * 2
     repeated_test = tmp_path / "repeated-test.json"
     repeated_test.write_text(json.dumps(doc))
+    # a float index is refused, not truncated to the cell before it
+    doc = json.loads(dataset.read_text())
+    doc["test_idx"] = [doc["test_idx"][0] + 0.5]
+    float_index = tmp_path / "float-index.json"
+    float_index.write_text(json.dumps(doc))
     # gamma this small all but never opens a second class, let alone a third
     unreachable = {"class_range": [3, 3], "generation_gamma": 0.001, "entity_count": 3}
     no_systems = tmp_path / "no-systems.json"
@@ -851,6 +859,8 @@ def test_cli_missing_input_files_exit_2(tmp_path, capsys):
          "error: --dataset: "),
         (["infer", "--dataset", str(repeated_test), "--model", "irm"] + to_out,
          "error: --dataset: "),
+        (["infer", "--dataset", str(float_index), "--model", "irm"] + to_out,
+         "error: --dataset: malformed dataset document: test_idx: "),
         (["experiment", "--config", str(not_json)] + to_out, "error: --config: "),
         (["infer", "--dataset", str(dataset), "--model", "hybrid",
           "--systems-dir", str(broken)] + to_out, "error: --systems-dir: "),
@@ -911,14 +921,36 @@ def test_cli_experiment_rejects_bad_workers_and_setting_types(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_cli_experiment_verbose_reports_rows(tmp_path, capsys):
+def test_cli_experiment_verbose_reports_rows(tmp_path, capsys, monkeypatch):
+    # a clock that stands still but for 2 s before each progress report: a
+    # report after `done` rows has seen 2 s per cell, 3 rows each
+    clock = [100.0]
+    monkeypatch.setattr("relgen.cli.time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    grid = relgen.cli.run_experiment
+
+    def ticking(config, systems, workers, progress):
+        def tick(done, total):
+            clock[0] += 2.0
+            progress(done, total)
+        return grid(config, systems, workers=workers, progress=progress and tick)
+
+    monkeypatch.setattr("relgen.cli.run_experiment", ticking)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(asdict(tiny_config())))
     out = tmp_path / "rows.csv"
     assert main(["experiment", "--config", str(config_path), "--verbose",
                  "--out", str(out)]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"row {3 * cells}/18" for cells in range(1, 7)]
+    assert len(err) == 6
+    for cells, line in enumerate(err, start=1):
+        prefix, rate, eta = line.split(", ")
+        assert prefix == f"row {3 * cells}/18"
+        assert rate == "1.5 rows/s"
+        assert eta == f"ETA {(18 - 3 * cells) / 1.5:.0f} s"
+    quiet = tmp_path / "quiet.csv"
+    assert main(["experiment", "--config", str(config_path), "--out", str(quiet)]) == 0
+    assert quiet.read_bytes() == out.read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_experiment_error_exit(tmp_path):

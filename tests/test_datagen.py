@@ -141,6 +141,21 @@ def test_system_text_rejects_malformed_documents():
     good["eta"] = good["eta"][:-1]  # wrong length
     with pytest.raises(ValueError):
         system_from_text(json.dumps(good))
+    # only a JSON string names a system, and only JSON numbers fill eta and
+    # zeta: nothing is converted on the way in
+    for key, value in [
+        ("name", 5),
+        ("eta", [["0.5", 0.2], [0.3, 0.7]]),
+        ("eta", [[True, 0.2], [0.3, 0.7]]),
+        ("eta", [0.6, 0.2, 0.3, 0.7]),
+        ("zeta", ["0.5", 0.5]),
+        ("zeta", [True, False]),
+        ("class_names", "ab"),
+        ("class_names", [1, 2]),
+    ]:
+        doc = {**json.loads(system_to_text(two_by_two())), key: value}
+        with pytest.raises(ValueError, match=f"malformed system document: {key}: "):
+            system_from_text(json.dumps(doc))
 
 
 def two_by_two():
@@ -178,6 +193,27 @@ def test_dataset_text_rejects_malformed_documents():
     doc3["test_idx"] = [spare, spare]
     with pytest.raises(ValueError, match="listed twice"):
         dataset_from_text(json.dumps(doc3))
+    # only JSON integers are read: a float, a bool or a numeric string is
+    # refused, never truncated, and a cell that overflows is refused too
+    for key, value in [
+        ("n_entities", 2.7),
+        ("n_entities", "3"),
+        ("n_entities", True),
+        ("cells", [0.7] + [0] * 8),
+        ("cells", [True] + [0] * 8),
+        ("cells", [300] + [0] * 8),
+        ("observed_idx", [0.5]),
+        ("observed_idx", 0),
+        ("test_idx", [1.5]),
+        ("test_idx", ["1"]),
+    ]:
+        doc = {**json.loads(dataset_to_text(data)), key: value}
+        with pytest.raises(ValueError, match="malformed dataset document: "):
+            dataset_from_text(json.dumps(doc))
+    bent = {"n_entities": 2, "cells": [0.7, 1, 0, 1.9], "observed_idx": [0.5, 2.99],
+            "test_idx": [1.5]}
+    with pytest.raises(ValueError, match="cells: expected a JSON integer, got 0.7"):
+        dataset_from_text(json.dumps(bent))
 
 
 def test_file_round_trips(tmp_path):

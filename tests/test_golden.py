@@ -12,7 +12,8 @@ regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in CHANGES.md why they changed.
+and says in CHANGES.md why they changed.  The script names each file whose
+bytes it changed, added or removed, or prints "all N unchanged".
 """
 
 import json
@@ -219,6 +220,7 @@ def test_stored_chains_match_golden():
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    before = {path.name: path.read_bytes() for path in GOLDEN.glob("*.*")}
     for stale in GOLDEN.glob("*.csv"):
         stale.unlink()
     for mode in TAU_MODES:
@@ -235,4 +237,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in infer_outputs(Path(tmp)).items():
             (GOLDEN / name).write_text(text, encoding="utf-8")
-    print(f"wrote {len(list(GOLDEN.glob('*.*')))} golden files to {GOLDEN}", file=sys.stderr)
+    after = {path.name: path.read_bytes() for path in GOLDEN.glob("*.*")}
+    print(f"wrote {len(after)} golden files to {GOLDEN}", file=sys.stderr)
+    changed = sorted(name for name in before.keys() | after.keys()
+                     if before.get(name) != after.get(name))
+    if changed:
+        print("changed: " + ", ".join(changed), file=sys.stderr)
+    else:
+        print(f"all {len(after)} unchanged", file=sys.stderr)

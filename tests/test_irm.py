@@ -18,6 +18,7 @@ from relgen import (
     canonical_labels,
     collapsed_loglik,
     conditional_class_logweights,
+    crp_log_prior,
     gibbs_sweep,
     irm_predict_cells,
     mh_update_alpha,
@@ -421,7 +422,7 @@ def test_gibbs_chain_matches_enumerated_posterior():
     rng = np.random.default_rng(44)
     data = random_data(rng, 4, observed_fraction=0.7)
     hp = Hyperparameters(1.0, 1.0)
-    exact = exact_irm_partition_posterior(data, hp.alpha, hp.gamma)
+    exact, _ = exact_irm_partition_posterior(data, hp.alpha, hp.gamma)
 
     chain_rng = np.random.default_rng(45)
     part = Partition.from_assignments([0, 0, 0, 0])
@@ -434,6 +435,29 @@ def test_gibbs_chain_matches_enumerated_posterior():
             freq[key] = freq.get(key, 0) + 1
     empirical = {k: v / keep for k, v in freq.items()}
     assert total_variation(empirical, exact) < 0.05
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 37.0])
+def test_exact_theory_evidence(alpha):
+    # nothing observed: every partition explains the data with probability 1
+    nothing = RelationData(3, np.zeros((3, 3)), np.zeros((3, 3), dtype=bool))
+    _, log_ev = exact_irm_partition_posterior(nothing, alpha, 1.3)
+    assert_allclose(log_ev, 0.0, atol=1e-14)
+    # one entity and its self-cell: the Beta(alpha, alpha) predictive is 1/2
+    for cell in (0, 1):
+        one = RelationData(1, [[cell]], [[True]])
+        _, log_ev = exact_irm_partition_posterior(one, alpha, 1.3)
+        assert_allclose(log_ev, np.log(0.5), rtol=1e-12)
+    # two entities: the sum over their two partitions, by the package's terms
+    two = RelationData(2, [[1, 0], [1, 1]], [[True, True], [False, True]])
+    gamma = 0.4
+    terms = [
+        crp_log_prior(Partition.from_assignments(z), gamma)
+        + collapsed_loglik(two, Partition.from_assignments(z), alpha)
+        for z in ([0, 0], [0, 1])
+    ]
+    _, log_ev = exact_irm_partition_posterior(two, alpha, gamma)
+    assert_allclose(log_ev, np.logaddexp(*terms), rtol=1e-12)
 
 
 def test_mh_accepts_identical_proposal_without_drawing_uniform():
