@@ -33,14 +33,16 @@ from .irm import McmcSchedule, _sample_logweights
 
 
 def _sweep_tables(data: RelationData, system: StoredSystem):
-    """(D, G, B, log class prior, log link tables) of the chain for one dataset.
+    """(D, G, B, log class prior, log link tables, dG) of the chain for one
+    dataset.
 
     ``D[i, j]`` (n x n x 4) is the (r1, rt, c1, ct) tally row that entity i
     adds to entity j: j's out-cell (j, i) as a link and as observed, then
     j's in-cell (i, j) likewise; the diagonal is zero.  ``G[:, b]`` (4 x m)
     turns one such row, for a neighbour in class b, into log-weights over
     the m classes.  ``B`` (n x m) holds each entity's log prior plus its
-    self-cell term; zero-prior classes stay at -inf.
+    self-cell term; zero-prior classes stay at -inf.  ``dG[a, b]`` is
+    ``G[:, b] - G[:, a]`` for every class pair, each slice contiguous.
     """
     observed = data.observed_link_matrices
     links, nolinks = observed * ~np.eye(data.n_entities, dtype=bool)
@@ -53,7 +55,8 @@ def _sweep_tables(data: RelationData, system: StoredSystem):
     G = np.stack([diff.T, log_nolink.T, diff, log_nolink])
     self_terms = np.stack([np.diagonal(log_link), np.diagonal(log_nolink)])
     B = log_prior + np.diagonal(observed, axis1=1, axis2=2).T @ self_terms
-    return D, G, B, log_prior, log_tables
+    dG = np.ascontiguousarray((G[:, None] - G[:, :, None]).transpose(1, 2, 0, 3))
+    return D, G, B, log_prior, log_tables, dG
 
 
 def _stored_table(D, G, B, z) -> np.ndarray:
@@ -66,27 +69,31 @@ def _stored_table(D, G, B, z) -> np.ndarray:
     return tallies @ G.reshape(4 * m, m) + B
 
 
-def _move_entity(L, D, G, i: int, a: int, b: int) -> None:
-    """Update the table in place for entity i moving from class a to b."""
-    L += D[i] @ (G[:, b] - G[:, a])
+def _move_entity(D, dG, i: int, a, b) -> np.ndarray:
+    """The change to the table when entity i moves from class a to b: one
+    small matmul with the tabulated class difference.  Arrays ``a`` and
+    ``b`` give one change per move, stacked, from one batched matmul."""
+    return D[i] @ dG[a, b]
 
 
-def _sweep_stored(z, D, G, B, rng=None) -> None:
+def _sweep_stored(z, tables, rng=None) -> None:
     """Reassign every entity in index order, in place.
 
     With ``rng``, each entity is Gibbs-drawn from its conditional; without,
     it takes the conditional's first maximum (the greedy init's sweep) of
     each labeling stacked along leading axes of ``z``.  The table is rebuilt
     once per sweep, since one carried across sweeps drifts in its last bits
-    and could flip an argmax tie, and is touched only when an entity moves.
+    and could flip an argmax tie, and is touched only when an entity moves;
+    the stacked labelings that move at one entity are updated together.
     """
+    D, G, B, _, _, dG = tables
     L = _stored_table(D, G, B, z)
     if rng is None:
         Z, L = z.reshape(-1, z.shape[-1]), L.reshape(-1, *B.shape)
         for i in range(Z.shape[1]):
             best = L[:, i].argmax(1)
-            for r in (best != Z[:, i]).nonzero()[0]:
-                _move_entity(L[r], D, G, i, Z[r, i], best[r])
+            if (rows := (best != Z[:, i]).nonzero()[0]).size:
+                L[rows] += _move_entity(D, dG, i, Z[rows, i], best[rows])
             Z[:, i] = best
         return
     labels = z.tolist()
@@ -94,7 +101,7 @@ def _sweep_stored(z, D, G, B, rng=None) -> None:
     for i, a in enumerate(labels):
         b = _sample_logweights(L[i].tolist(), uniforms[i])
         if b != a:
-            _move_entity(L, D, G, i, a, b)
+            L += _move_entity(D, dG, i, a, b)
             labels[i] = b
     z[:] = labels
 
@@ -113,7 +120,7 @@ def gibbs_sweep_stored(
     """
     z = np.array(_as_assignments(assignments))
     _check_assignments(data, z, system.n_classes)
-    _sweep_stored(z, *_sweep_tables(data, system)[:3], rng)
+    _sweep_stored(z, _sweep_tables(data, system), rng)
     return z
 
 
@@ -139,7 +146,7 @@ def _swap_moves(counts, sizes, ll, tables, a, b):
     States stacked along the middle axes of ``counts`` (2 x … x m x m),
     ``sizes`` (… x m) and ``ll`` (… x 1) are scored against every swap.
     """
-    log_prior, log_tables = tables[3:]
+    log_prior, log_tables = tables[3:5]
     perms = np.arange(sizes.shape[-1])[None].repeat(a.size, 0)
     rows = np.arange(a.size)
     perms[rows, a] = b
@@ -158,18 +165,24 @@ def _class_swap_move(z, counts, ll: float, tables, live, rng) -> tuple[np.ndarra
     by a relabeling of classes — with sharp link probabilities every
     intermediate state is a likelihood cliff.  Swapping the entities of two
     classes in one proposal jumps the cliff directly; the acceptance ratio
-    needs only the permuted counts and the class-count prior delta.  A swap
-    of two empty classes is no move and draws no uniform.
+    needs only the permuted counts, gathered in C order as `_swap_moves`
+    gathers them, and the class-count prior delta.  A swap of two empty
+    classes is no move and draws no uniform.
     """
     if live.size < 2:
         return z, ll
-    pick = live[rng.permutation(live.size)[:2]]
-    sizes = np.bincount(z, minlength=tables[3].size)
-    if not sizes[pick].any():
+    a, b = live[rng.permutation(live.size)[:2]]
+    log_prior, log_tables = tables[3:5]
+    sizes = np.bincount(z, minlength=log_prior.size)
+    if not (sizes[a] or sizes[b]):
         return z, ll
-    perms, new_ll, log_ratio = _swap_moves(counts, sizes, ll, tables, pick[:1], pick[1:])
-    if log_ratio[0] >= 0 or rng.random() < np.exp(log_ratio[0]):
-        return perms[0][z], float(new_ll[0])
+    perm = np.arange(log_prior.size)
+    perm[[a, b]] = b, a
+    swapped = np.ascontiguousarray(counts[:, perm[:, None], perm])
+    new_ll = _loglik_from_counts(*swapped, log_tables)
+    log_ratio = new_ll - ll + (sizes[a] - sizes[b]) * (log_prior[b] - log_prior[a])
+    if log_ratio >= 0 or rng.random() < np.exp(log_ratio):
+        return perm[z], float(new_ll)
     return z, ll
 
 
@@ -190,13 +203,13 @@ def _greedy_candidates(data, system, tables, live, rng) -> tuple[np.ndarray, np.
     sweeps stop once one leaves the stack as it found it.  Returns the
     (R x n) states and their log joints.
     """
-    D, G, B, log_prior, log_tables = tables
+    log_prior, log_tables = tables[3:5]
     m = system.n_classes
     pairs = live[np.array(np.triu_indices(live.size, 1))]
     Z = sample_stored_assignments(system, (INIT_RESTARTS, data.n_entities), rng)
     for _ in range(INIT_GREEDY_SWEEPS):
         before = Z.copy()
-        _sweep_stored(Z, D, G, B)
+        _sweep_stored(Z, tables)
         counts = pair_counts(data, Z, m).swapaxes(0, 1)
         lls = _loglik_from_counts(*counts, log_tables)
         sizes = (Z[:, :, None] == np.arange(m)).sum(1)
@@ -235,16 +248,16 @@ def run_stored_chain(
     """
     rng = np.random.default_rng(schedule.seed)
     tables = _sweep_tables(data, system)
-    D, G, B, _, log_tables = tables
-    m = system.n_classes
+    observed, eye = data.observed_link_matrices, np.eye(system.n_classes)
     live = np.flatnonzero(system.class_probs > 0.0)
     candidates, joints = _greedy_candidates(data, system, tables, live, rng)
     z = candidates[np.argmax(joints)]
     retained = []
     for sweep in range(schedule.total_sweeps):
-        _sweep_stored(z, D, G, B, rng)
-        counts = pair_counts(data, z, m)
-        ll = float(_loglik_from_counts(*counts, log_tables))
+        _sweep_stored(z, tables, rng)
+        onehot = eye[z]
+        counts = onehot.T @ observed @ onehot
+        ll = float(_loglik_from_counts(*counts, tables[4]))
         z, ll = _class_swap_move(z, counts, ll, tables, live, rng)
         if sweep in schedule.retained_sweeps:
             retained.append((z.copy(), ll))

@@ -381,16 +381,17 @@ class _Cell:
     """One split's chains, each run at most once, and every row cut from them.
 
     `fit` is the one place that fits a model, for a grid cell and `relgen
-    infer` alike.  The cell shares only its chains between rows.  Chain seeds
-    derive from ``seed``, the cell seed in the grid and --seed in `infer`:
-    stored system s's from (seed, "stored-chain", s.name), the theory's from
-    (seed, "theory-chain").  Pool size K uses the first K systems of
-    ``pool``.  The stored chains run together for the largest of ``counts``
-    the pool can serve, and a row passes the first K of them to the library's
-    evidence and prediction functions (the evidence being each chain's own
-    ``log_evidence``, estimated once), so rows of different K are paired; a
-    K beyond the pool fails only its own rows.  Each chain runs on first use,
-    so a cell without irm or hybrid rows runs no theory chain.
+    infer` alike.  The cell shares its chains, and each K's analogy report,
+    between rows.  Chain seeds derive from ``seed``, the cell seed in the
+    grid and --seed in `infer`: stored system s's from (seed, "stored-chain",
+    s.name), the theory's from (seed, "theory-chain").  Pool size K uses the
+    first K systems of ``pool``.  The stored chains run together for the
+    largest of ``counts`` the pool can serve, and a row passes the first K of
+    them to the library's evidence and prediction functions (the evidence
+    being each chain's own ``log_evidence``, estimated once), so rows of
+    different K are paired; a K beyond the pool fails only its own rows.
+    Each chain runs on first use, so a cell without irm or hybrid rows runs
+    no theory chain.
 
     A hybrid row comes back unscored, with the payload `_score_hybrid` needs
     to choose its tau: on the test cells, or on validation cells drawn with
@@ -402,6 +403,7 @@ class _Cell:
         self.n_run = max((k for k in counts if k <= len(pool)), default=0)
         self.validation_seed = validation_seed
         self.truths = _truths(data, data.test_cells)
+        self.reports = {}
 
     def _seeded(self, *label) -> McmcSchedule:
         return self.schedule.with_seed(derive_seed(self.seed, *label))
@@ -430,15 +432,15 @@ class _Cell:
             return {"score": evaluate(preds, truths)}, preds, None, None
         systems = _pool_prefix(self.pool, k)
         chains = self.stored[:k]
+        report = self.reports.get(k) or analogy_report(systems, chains)
+        self.reports[k] = report
         if model == "analogy":
-            report = analogy_report(systems, chains)
             preds = analogy_predict_cells(chains, systems, report.weights, cells)
             bits = {
                 "score": evaluate(preds, truths),
                 "weights": tuple(zip(report.names, (float(x) for x in report.weights))),
             }
             return bits, preds, report, None
-        report = analogy_report(systems, chains)
         log_ev = hybrid_log_evidences(chains, self.theory)
         comps = hybrid_component_predictions(chains, self.theory, systems, data, cells)
         tau_comps, tau_truths = comps, truths

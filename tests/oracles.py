@@ -2,11 +2,14 @@
 
 Everything here is written the slow, obvious way — explicit loops,
 brute-force enumeration — deliberately sharing no code with the package
-under test beyond numpy/scipy primitives.
+under test beyond numpy/scipy primitives.  The one exception is
+`stored_chain_reference`, which scores log-likelihoods with the package's
+class-pair counts so that whole chains compare bit for bit.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 from scipy.special import betaln, logsumexp
@@ -131,7 +134,8 @@ def exact_irm_predictive(data, cells, alpha: float, gamma: float) -> np.ndarray:
 
 
 def stored_log_joint(data, system, labels) -> float:
-    """Log p(labels, observed cells) under a frozen stored system."""
+    """Log p(labels, observed cells) under a frozen stored system, its link
+    probabilities clamped to [1e-6, 1 - 1e-6] as the package clamps them."""
     z = np.asarray(labels, dtype=np.int64)
     logp = 0.0
     for i in range(data.n_entities):
@@ -139,7 +143,7 @@ def stored_log_joint(data, system, labels) -> float:
     for i in range(data.n_entities):
         for j in range(data.n_entities):
             if data.observed_mask[i, j]:
-                eta = float(system.link_probs[z[i], z[j]])
+                eta = min(max(float(system.link_probs[z[i], z[j]]), 1e-6), 1 - 1e-6)
                 logp += math.log(eta) if data.cells[i, j] == 1 else math.log1p(-eta)
     return logp
 
@@ -290,3 +294,66 @@ def stored_sweep_reference(data, system, labels, rng) -> np.ndarray:
         choice = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         z[i] = min(choice, probs.size - 1)
     return z
+
+
+def stored_chain_reference(data, system, schedule, restarts=8, greedy_sweeps=6):
+    """A stored-system chain, step by step: the (partitions, logliks) of its
+    retained sweeps, and a Counter of its class-swap outcomes.
+
+    The start is the first, among ``restarts`` prior draws, with the highest
+    log joint after ``greedy_sweeps`` rounds of argmax reassignment
+    (`stored_conditional`) and `greedy_swap_reference`.  Each sweep is
+    `stored_sweep_reference`, then a Metropolis swap of two live classes
+    picked by one ``rng.permutation``: it relabels their entities, and its
+    log ratio is the change in the package's `_loglik_from_counts` of
+    `pair_counts` plus the class-prior delta.  Each swap is counted as
+    "empty" (both classes empty, no move), "no uniform" (log ratio >= 0),
+    "uniform" (accepted by a uniform) or "rejected".
+    """
+    from relgen.core import _log_tables, _loglik_from_counts, pair_counts
+
+    m, probs = system.class_probs.size, system.class_probs.tolist()
+    live = [c for c, p in enumerate(probs) if p > 0.0]
+    cum = list(itertools.accumulate(probs))
+    log_tables = _log_tables(system.link_probs)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(system.class_probs)
+
+    def loglik(z) -> float:
+        return float(_loglik_from_counts(*pair_counts(data, z, m), log_tables))
+
+    rng = np.random.default_rng(schedule.seed)
+    z, best = None, -math.inf
+    for row in rng.random((restarts, data.n_entities)).tolist():
+        draw = np.array([min(sum(c <= u for c in cum), live[-1]) for u in row])
+        for _ in range(greedy_sweeps):
+            for i in range(data.n_entities):
+                draw[i] = np.argmax(stored_conditional(data, system, draw, i))
+            draw = greedy_swap_reference(data, system, draw)[0]
+        joint = loglik(draw) + log_prior[draw].sum()
+        if z is None or joint > best:
+            z, best = draw, joint
+    partitions, logliks, outcomes = [], [], Counter()
+    for sweep in range(schedule.total_sweeps):
+        z = stored_sweep_reference(data, system, z, rng)
+        ll = loglik(z)
+        if len(live) >= 2:
+            a, b = (live[k] for k in rng.permutation(len(live))[:2])
+            size_a, size_b = int((z == a).sum()), int((z == b).sum())
+            proposal = np.where(z == a, b, np.where(z == b, a, z))
+            new_ll = loglik(proposal)
+            log_ratio = new_ll - ll + (size_a - size_b) * (log_prior[b] - log_prior[a])
+            if size_a == size_b == 0:
+                outcomes["empty"] += 1
+            elif log_ratio >= 0:
+                outcomes["no uniform"] += 1
+                z, ll = proposal, new_ll
+            elif rng.random() < np.exp(log_ratio):
+                outcomes["uniform"] += 1
+                z, ll = proposal, new_ll
+            else:
+                outcomes["rejected"] += 1
+        if sweep in schedule.retained_sweeps:
+            partitions.append(z.copy())
+            logliks.append(ll)
+    return partitions, logliks, outcomes

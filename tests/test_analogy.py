@@ -1,5 +1,8 @@
 """Stored-system mixture: per-system chains, evidence, weighting, predictions."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -46,6 +49,7 @@ from oracles import (
     exact_stored_enumeration,
     exact_stored_predictive,
     greedy_swap_reference,
+    stored_chain_reference,
     stored_conditional,
     stored_sweep_reference,
 )
@@ -96,7 +100,8 @@ def self_cell_data(rng, n):
 def check_table_tracks_oracle(data, system, z, seed, sweeps):
     """Step the kernel's table through Gibbs sweeps, comparing every row
     with the slow conditional after each entity update; returns the moves."""
-    D, G, B = _sweep_tables(data, system)[:3]
+    tables = _sweep_tables(data, system)
+    D, G, B = tables[:3]
     n = data.n_entities
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     moves = 0
@@ -107,12 +112,12 @@ def check_table_tracks_oracle(data, system, z, seed, sweeps):
             if i >= 0:
                 b = _sample_logweights(L[i].tolist(), rng.random())
                 if b != z[i]:
-                    _move_entity(L, D, G, i, int(z[i]), b)
+                    L += _move_entity(D, tables[5], i, int(z[i]), b)
                     z[i] = b
                     moves += 1
             expected = [stored_conditional(data, system, z, j) for j in range(n)]
             assert_allclose(L, expected, rtol=1e-12)
-        _sweep_stored(start, D, G, B, twin)
+        _sweep_stored(start, tables, twin)
         assert_array_equal(start, z)
     return moves
 
@@ -167,7 +172,7 @@ def test_argmax_sweep_takes_first_maximum():
         want = z.copy()
         for i in range(30):
             want[i] = np.argmax(stored_conditional(data, system, want, i))
-        _sweep_stored(z, *_sweep_tables(data, system)[:3])
+        _sweep_stored(z, _sweep_tables(data, system))
         assert_array_equal(z, want)
     assert not want.any()  # all-equal conditionals pick class 0
 
@@ -229,10 +234,10 @@ def test_chain_starts_from_first_best_candidate(monkeypatch):
     # the tied candidates differ.
     starts = []
 
-    def recording(z, D, G, B, rng=None):
+    def recording(z, tables, rng=None):
         if rng is not None and not starts:
             starts.append(z.copy())
-        _sweep_stored(z, D, G, B, rng)
+        _sweep_stored(z, tables, rng)
 
     monkeypatch.setattr(analogy, "_sweep_stored", recording)
     rng = np.random.default_rng(32)
@@ -255,6 +260,35 @@ def test_chain_starts_from_first_best_candidate(monkeypatch):
         run_stored_chain(data, system, McmcSchedule(0, 1, 1, seed=trial))
         assert_array_equal(starts[0], best[0])
     assert distinct_ties
+
+
+def mirror_case():
+    # two entities that link to each other fit (0, 1) and (1, 0) equally
+    return (StoredSystem("mirror", [[0.1, 0.9], [0.9, 0.1]], [0.5, 0.5]),
+            RelationData(2, [[0, 1], [1, 0]], [[False, True], [True, False]]))
+
+
+def test_stored_chain_equals_reference_chain():
+    # the whole chain, greedy init to retained draws, against the reference
+    # built from the slow conditional, the nested swap scan and relabelled
+    # class-pair counts; every swap outcome must occur somewhere
+    mirror, pair = mirror_case()
+    one = StoredSystem("one", [[0.7]], [1.0])
+    datasets = (self_cell_data(np.random.default_rng(33), 30), RelationData(1, [[1]], [[True]]),
+                RelationData(6, np.ones((6, 6), dtype=np.int8), np.zeros((6, 6), dtype=bool)))
+    systems = (two_class_system(), gap_system(), edge_system(), tie_system(), one)
+    cases = [(data, system) for data in datasets for system in systems] + [(pair, mirror)]
+    outcomes = Counter()
+    for (data, system), seed in itertools.product(cases, range(3)):
+        schedule = McmcSchedule(3, 4, 2, seed=seed)
+        samples = run_stored_chain(data, system, schedule)
+        partitions, logliks, seen = stored_chain_reference(
+            data, system, schedule, INIT_RESTARTS, INIT_GREEDY_SWEEPS
+        )
+        assert np.array_equal(samples.partitions, partitions)
+        assert np.array_equal(samples.logliks, logliks)
+        outcomes += seen
+    assert set(outcomes) == {"no uniform", "uniform", "rejected", "empty"}
 
 
 def stack_cases():
@@ -282,16 +316,22 @@ def test_stacked_table_equals_each_labeling_table(data, system):
 
 @pytest.mark.parametrize("data, system", stack_cases())
 def test_stacked_argmax_sweep_equals_each_labeling_sweep(data, system):
-    D, G, B = _sweep_tables(data, system)[:3]
+    # a column that changes in two or more rows within one sweep is an
+    # entity whose moving candidates took one batched table update
+    tables = _sweep_tables(data, system)
     Z = sample_stored_assignments(
         system, (INIT_RESTARTS, data.n_entities), np.random.default_rng(36)
     )
     rows = [z.copy() for z in Z]
+    together = 0
     for _ in range(3):
-        _sweep_stored(Z, D, G, B)
+        before = Z.copy()
+        _sweep_stored(Z, tables)
         for z in rows:
-            _sweep_stored(z, D, G, B)
+            _sweep_stored(z, tables)
         assert np.array_equal(Z, np.stack(rows))
+        together += ((Z != before).sum(0) >= 2).sum()
+    assert together
 
 
 @pytest.mark.parametrize("data, system", stack_cases())

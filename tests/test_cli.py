@@ -523,6 +523,23 @@ def test_cell_runs_each_chain_once_and_pairs_its_rows(monkeypatch):
     assert csv_of(rows, "irm", None) == emit_results_csv(irm_only)
 
 
+def test_cell_builds_each_pool_report_once(monkeypatch):
+    # a K's analogy and hybrid rows share one report
+    import relgen.cli as cli
+
+    calls = []
+
+    def counting(systems, chains):
+        calls.append(len(systems))
+        return analogy_report(systems, chains)
+
+    monkeypatch.setattr(cli, "analogy_report", counting)
+    config = tiny_config(n_target_systems=1, observed_fractions=(0.5,), stored_counts=(2, 3))
+    rows = run_experiment(config, materialize_systems(tiny_config(n_target_systems=4)))
+    assert all(r.status == "ok" for r in rows) and len(rows) == 5
+    assert sorted(calls) == [2, 3]
+
+
 def test_each_chain_estimates_its_evidence_once(monkeypatch):
     import relgen.cli as cli
     import relgen.core as core
