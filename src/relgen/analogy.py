@@ -10,6 +10,7 @@ weights over the pool.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,15 +77,54 @@ def _move_entity(D, dG, i: int, a, b) -> np.ndarray:
     return D[i] @ dG[a, b]
 
 
-def _sweep_stored(z, tables, rng=None) -> None:
+CERTIFY_MARGIN = 1e-9
+
+
+def _stay_screen(labels, uniforms, m: int):
+    """The screen of one sweep's entities, at these labels and uniforms.
+
+    It maps the n x m table of log conditionals to which entities the exact
+    draw is sure to leave in their class.  On a class-major copy of the
+    table, so that its reductions run along contiguous rows, it takes each
+    entity's running sums of exp(logw - max) in class order: the arithmetic
+    of `_sample_logweights` up to the last bit of each ``exp``.  An entity
+    is certified when u times its total lies more than ``CERTIFY_MARGIN`` of
+    the total inside its class's interval of the running sums, a margin far
+    wider than that rounding, so the exact draw returns its class.  A class
+    of zero weight is never certified.
+    """
+    n = labels.size
+    C = np.zeros((m + 1, n))
+    W = C[1:]
+    # at these flat indices C holds each entity's running sum before its
+    # class, and W (C without its zero row) the sum through it
+    lo = labels * n + np.arange(n)
+    below, above = uniforms - CERTIFY_MARGIN, uniforms + CERTIFY_MARGIN
+
+    def certified(L) -> np.ndarray:
+        W[...] = L.T
+        np.subtract(W, np.maximum.reduce(W), out=W)
+        np.exp(W, out=W)
+        np.add.accumulate(W, out=W)
+        total = C[m]
+        return (C.take(lo) < below * total) & (W.take(lo) > above * total)
+
+    return certified
+
+
+def _sweep_stored(z, tables, rng=None, screen=True):
     """Reassign every entity in index order, in place.
 
-    With ``rng``, each entity is Gibbs-drawn from its conditional; without,
-    it takes the conditional's first maximum (the greedy init's sweep) of
-    each labeling stacked along leading axes of ``z``.  The table is rebuilt
-    once per sweep, since one carried across sweeps drifts in its last bits
-    and could flip an argmax tie, and is touched only when an entity moves;
-    the stacked labelings that move at one entity are updated together.
+    With ``rng``, each entity is Gibbs-drawn from its conditional, and the
+    number of entities that moved is returned.  A ``screen``ed sweep draws
+    only the entities `_stay_screen` cannot certify: the others would stay
+    under the exact draw, so they keep their class, and a move screens the
+    entities after it again.  Without ``rng``, each entity takes the
+    conditional's first maximum (the greedy init's sweep) of each labeling
+    stacked along leading axes of ``z``.  The table is rebuilt once per
+    sweep, since one carried across sweeps drifts in its last bits and could
+    flip an argmax tie, and is touched only when an entity moves; the
+    stacked labelings that move at one entity are updated together.
     """
     D, G, B, _, _, dG = tables
     L = _stored_table(D, G, B, z)
@@ -95,15 +135,31 @@ def _sweep_stored(z, tables, rng=None) -> None:
             if (rows := (best != Z[:, i]).nonzero()[0]).size:
                 L[rows] += _move_entity(D, dG, i, Z[rows, i], best[rows])
             Z[:, i] = best
-        return
-    labels = z.tolist()
-    uniforms = rng.random(len(labels)).tolist()
-    for i, a in enumerate(labels):
-        b = _sample_logweights(L[i].tolist(), uniforms[i])
-        if b != a:
-            L += _move_entity(D, dG, i, a, b)
-            labels[i] = b
+        return None
+    n = len(labels := z.tolist())
+    uniforms = rng.random(n)
+    u = uniforms.tolist()
+    if screen:
+        certified = _stay_screen(z, uniforms, B.shape[1])
+    moves = start = 0
+    while start < n:
+        rest = range(start, n)
+        if screen:
+            rest = (~certified(L)).nonzero()[0].tolist()
+            rest = rest[bisect_left(rest, start):]
+        start = n
+        for i in rest:
+            a = labels[i]
+            b = _sample_logweights(L[i].tolist(), u[i])
+            if b != a:
+                L += _move_entity(D, dG, i, a, b)
+                labels[i] = b
+                moves += 1
+                if screen:
+                    start = i + 1
+                    break
     z[:] = labels
+    return moves
 
 
 def gibbs_sweep_stored(
@@ -252,9 +308,12 @@ def run_stored_chain(
     live = np.flatnonzero(system.class_probs > 0.0)
     candidates, joints = _greedy_candidates(data, system, tables, live, rng)
     z = candidates[np.argmax(joints)]
-    retained = []
+    retained, moves = [], data.n_entities
     for sweep in range(schedule.total_sweeps):
-        _sweep_stored(z, tables, rng)
+        # each move costs a re-screen, so a screen pays only in a sweep
+        # moving fewer than about n/10 entities, as the previous sweep's
+        # moves predict; the first sweep has no such predictor, so no screen
+        moves = _sweep_stored(z, tables, rng, 12 * moves < data.n_entities)
         onehot = eye[z]
         counts = onehot.T @ observed @ onehot
         ll = float(_loglik_from_counts(*counts, tables[4]))

@@ -1,6 +1,7 @@
 """Stored-system mixture: per-system chains, evidence, weighting, predictions."""
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -34,6 +35,7 @@ from relgen.analogy import (
     INIT_RESTARTS,
     _greedy_candidates,
     _move_entity,
+    _stay_screen,
     _stored_table,
     _swap_moves,
     _sweep_stored,
@@ -184,6 +186,65 @@ def test_draw_never_returns_zero_weight_index():
     assert _sample_logweights([0.0, 0.0, -np.inf], 0.0) == 0
 
 
+def certificate_rows(rng, m):
+    """Log-weight rows over m classes, each under a random common offset:
+    moderate, spread over about 700 nats, near one-hot (the other classes
+    near the margin's scale), exact ties among 0, -1 and -inf, and random
+    rows with zero-prior classes at -inf."""
+    hot = np.log(1e-9) + rng.normal(0, 1, m)
+    hot[rng.integers(m)] = 0.0
+    tied = rng.choice([0.0, -1.0, -np.inf], m)
+    tied[rng.integers(m)] = 0.0
+    gap = rng.normal(0, 3, m)
+    gap[rng.random(m) < 0.4] = -np.inf
+    gap[rng.integers(m)] = rng.normal()
+    rows = (rng.normal(0, 3, m), rng.uniform(-700, 0, m), hot, tied, gap)
+    return [row + rng.uniform(-300, 300) for row in rows]
+
+
+def exact_running_sums(row) -> list:
+    """The exact draw's running weight sums over a row, after a leading 0."""
+    top = max(row.tolist())
+    return [0.0, *itertools.accumulate(math.exp(w - top) for w in row.tolist())]
+
+
+def test_certificate_implies_exact_draw():
+    # every (row, uniform) meets every current class; the uniforms include
+    # each running-sum boundary C[k] / total of the exact draw, both its
+    # float neighbours, 0 and the largest float below 1
+    rng = np.random.default_rng(40)
+    below_one = np.nextafter(1.0, 0.0)
+    for m in range(1, 8):
+        rows, labels, uniforms = [], [], []
+        for _ in range(20):
+            for row in certificate_rows(rng, m):
+                running = exact_running_sums(row)
+                edges = np.array(running[1:]) / running[-1]
+                us = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                                     [0.0, below_one], rng.random(4)])
+                for u in us[us < 1.0]:
+                    rows += [row] * m
+                    labels += range(m)
+                    uniforms += [u] * m
+        table, labels, uniforms = np.array(rows), np.array(labels), np.array(uniforms)
+        n = labels.size
+        sure = _stay_screen(labels, uniforms, m)(table)
+        weights = np.exp(table - table.max(1, keepdims=True))[np.arange(n), labels]
+        assert not sure[weights == 0.0].any()
+        inside = 0
+        for row, a, u, ok in zip(table, labels.tolist(), uniforms.tolist(), sure):
+            draw = _sample_logweights(row.tolist(), u)
+            if ok:
+                assert draw == a
+            # the certificate is not much more cautious than its margin
+            running = exact_running_sums(row)
+            x, slack = u * running[-1], 1e-8 * running[-1]
+            if running[a] + slack < x < running[a + 1] - slack:
+                assert ok
+                inside += 1
+        assert inside
+
+
 def test_greedy_candidate_matches_nested_swap_scan(monkeypatch):
     # the batched scan must take the same swaps, in the same order, as the
     # nested loop over live class pairs scored by the full log joint; every
@@ -234,10 +295,10 @@ def test_chain_starts_from_first_best_candidate(monkeypatch):
     # the tied candidates differ.
     starts = []
 
-    def recording(z, tables, rng=None):
+    def recording(z, tables, rng=None, screen=True):
         if rng is not None and not starts:
             starts.append(z.copy())
-        _sweep_stored(z, tables, rng)
+        return _sweep_stored(z, tables, rng, screen)
 
     monkeypatch.setattr(analogy, "_sweep_stored", recording)
     rng = np.random.default_rng(32)
@@ -289,6 +350,52 @@ def test_stored_chain_equals_reference_chain():
         assert np.array_equal(samples.logliks, logliks)
         outcomes += seen
     assert set(outcomes) == {"no uniform", "uniform", "rejected", "empty"}
+
+
+def test_dense_stored_chain_equals_reference_chain(monkeypatch):
+    # 60 entities at fraction 0.5 from a sharp system.  Its own chain moves
+    # few entities, so its sweeps are screened; a copy with softened links
+    # moves many, so its chain also runs sweeps without a screen.  Both
+    # chains must equal the reference chain draw for draw.  A short greedy
+    # init keeps the reference affordable; the init has its own tests.
+    screens, sweeps = Counter(), Counter()
+    stay_screen, sweep = analogy._stay_screen, analogy._sweep_stored
+
+    def counting(*args):
+        certified = stay_screen(*args)
+
+        def screen(L):
+            sure = certified(L)
+            screens["calls"] += 1
+            screens["certified"] += int(sure.sum())
+            return sure
+
+        return screen
+
+    def recording(z, tables, rng=None, screen=True):
+        before = screens["calls"]
+        moves = sweep(z, tables, rng, screen)
+        if rng is not None:
+            sweeps["screened" if screens["calls"] > before else "unscreened"] += 1
+        return moves
+
+    monkeypatch.setattr(analogy, "_stay_screen", counting)
+    monkeypatch.setattr(analogy, "_sweep_stored", recording)
+    monkeypatch.setattr(analogy, "INIT_RESTARTS", 2)
+    monkeypatch.setattr(analogy, "INIT_GREEDY_SWEEPS", 1)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        sharp = generate_synthetic_system(rng, alpha=0.2)
+        full, _ = simulate_interactions(sharp, 60, rng)
+        data = make_split(full, SplitSpec(0.5, 0.1, seed))
+        soft = StoredSystem("soft", 0.5 + 0.1 * (sharp.link_probs - 0.5), sharp.class_probs)
+        for system in (sharp, soft):
+            schedule = McmcSchedule(3, 4, 2, seed=seed)
+            samples = run_stored_chain(data, system, schedule)
+            partitions, logliks, _ = stored_chain_reference(data, system, schedule, 2, 1)
+            assert np.array_equal(samples.partitions, partitions)
+            assert np.array_equal(samples.logliks, logliks)
+    assert sweeps["screened"] and sweeps["unscreened"] and screens["certified"]
 
 
 def stack_cases():
