@@ -25,6 +25,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -176,14 +177,8 @@ class ExperimentConfig:
         fr = self.observed_fractions
         if not fr or len(set(fr)) != len(fr):
             raise ConfigError("observed_fractions must be non-empty and unique")
-        if not (0.0 <= self.test_fraction <= 1.0):
-            raise ConfigError(f"test_fraction must lie in [0, 1], got {self.test_fraction!r}")
-        for f in fr:
-            if not (0.0 <= f <= 1.0) or f + self.test_fraction > 1.0:
-                raise ConfigError(
-                    f"observed fraction {f!r} incompatible with test fraction "
-                    f"{self.test_fraction!r}"
-                )
+        for f in fr:  # delegates the fraction range checks (a SplitError)
+            SplitSpec(f, self.test_fraction)
         ks, models = self.stored_counts, self.models
         if len(set(ks)) != len(ks) or any(k < 1 for k in ks):
             raise ConfigError(f"stored_counts must be unique positive ints, got {ks}")
@@ -792,51 +787,60 @@ def _add_schedule_flags(p: argparse.ArgumentParser):
 def _comma_list(kind: type):
     """An argparse type: comma-separated ``kind`` items, as a tuple."""
     def parse(text: str) -> tuple:
-        return tuple(kind(x) for x in text.split(",") if x.strip())
+        return tuple(kind(x.strip()) for x in text.split(",") if x.strip())
 
     parse.__name__ = f"comma-separated {kind.__name__}"
     return parse
 
 
-def _cmd_generate(args) -> int:
+class UsageError(Exception):
+    """A bad flag or input file: `main` prints it and exits with code 2."""
+
+
+@contextmanager
+def _usage(flag: str | None, *errors: type):
+    """Re-raise ``errors`` as a UsageError, prefixed with ``flag`` if given."""
     try:
-        config = ExperimentConfig(
-            entity_count=args.entities,
-            n_target_systems=args.count,
-            master_seed=args.seed,
-            generation_gamma=args.gamma,
-            generation_alpha=args.alpha,
-            class_range=(args.class_min, args.class_max),
-        )
+        yield
+    except errors as exc:
+        raise UsageError(f"{flag}: {exc}" if flag else str(exc)) from exc
+
+
+def _config(args, file_values: dict | None = None) -> ExperimentConfig:
+    """Defaults, overlaid with ``file_values``, overlaid with the flags named
+    by their fields (a flag left out is None)."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    with _usage(None, ConfigError):
+        return ExperimentConfig.from_sources(file_values, overrides)
+
+
+def _cmd_generate(args) -> int:
+    # a class bound left out is the default's; an explicit 0 stays, and is refused
+    ends = zip((args.class_min, args.class_max), ExperimentConfig.class_range)
+    args.class_range = tuple(d if v is None else v for v, d in ends)
+    config = _config(args)
+    with _usage(None, ConfigError, GenerationError):
         systems = materialize_systems(config)
-    except (ConfigError, GenerationError) as exc:
-        return _usage_error(str(exc))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for system in systems:
         save_system(system, out_dir / f"{system.name}.json")
-    print(f"wrote {args.count} system files to {out_dir}")
+    print(f"wrote {len(systems)} system files to {out_dir}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    try:
+    with _usage("--system", OSError, ValueError):
         system = load_system(args.system)
-    except (OSError, ValueError) as exc:
-        return _usage_error(f"--system: {exc}")
-    try:
+    with _usage("--observed-fraction/--test-fraction", SplitError):
         spec = SplitSpec(
             args.observed_fraction,
             args.test_fraction,
             derive_seed(args.seed, "split", system.name),
         )
-    except SplitError as exc:
-        return _usage_error(f"--observed-fraction/--test-fraction: {exc}")
     rng = np.random.default_rng(derive_seed(args.seed, "simulate", system.name))
-    try:
+    with _usage("--entities", ValueError):
         data, _ = simulate_interactions(system, args.entities, rng)
-    except ValueError as exc:
-        return _usage_error(f"--entities: {exc}")
     save_dataset(make_split(data, spec), args.out)
     print(
         f"simulated {args.entities} entities from {system.name}: "
@@ -845,38 +849,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _infer_schedule(args) -> McmcSchedule:
-    flags = dict(burn_in=args.burn_in, n_retained=args.n_retained, thinning=args.thinning)
-    return McmcSchedule(**{k: v for k, v in flags.items() if v is not None})
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _cmd_infer(args) -> int:
-    try:
+    with _usage("--dataset", OSError, ValueError):
         data = load_dataset(args.dataset)
-    except (OSError, ValueError) as exc:
-        return _usage_error(f"--dataset: {exc}")
-    try:
-        schedule = _infer_schedule(args)
-    except ConfigError as exc:
-        return _usage_error(str(exc))
+    flags = dict(burn_in=args.burn_in, n_retained=args.n_retained, thinning=args.thinning)
+    with _usage(None, ConfigError):
+        schedule = McmcSchedule(**{k: v for k, v in flags.items() if v is not None})
     pool = []
     if args.model != "irm":
         if not args.systems_dir:
-            return _usage_error("--systems-dir is required for analogy/hybrid")
-        try:
+            raise UsageError("--systems-dir is required for analogy/hybrid")
+        with _usage("--systems-dir", OSError, ValueError):
             pool = load_systems_dir(args.systems_dir)
-        except (OSError, ValueError) as exc:
-            return _usage_error(f"--systems-dir: {exc}")
         if args.k is not None:
-            try:
+            with _usage("--k", ConfigError):
                 pool = _pool_prefix(pool, args.k)
-            except ConfigError as exc:
-                return _usage_error(f"--k: {exc}")
     cell = _Cell(data, pool, (len(pool),), schedule, args.seed)
     bits, preds, report, payload = cell.fit(args.model, len(pool) or None)
     if payload is not None:
@@ -904,26 +891,16 @@ def _cmd_infer(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.workers < 1:
-        return _usage_error(f"--workers: must be at least 1, got {args.workers}")
+        raise UsageError(f"--workers: must be at least 1, got {args.workers}")
     file_values = None
     if args.config:
-        try:
+        with _usage("--config", OSError, ValueError):
             file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            return _usage_error(f"--config: {exc}")
         if not isinstance(file_values, dict):
-            return _usage_error("--config: expected a JSON object of settings")
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
-    try:
-        config = ExperimentConfig.from_sources(file_values, overrides)
-    except ConfigError as exc:
-        return _usage_error(str(exc))
-    try:
+            raise UsageError("--config: expected a JSON object of settings")
+    config = _config(args, file_values)
+    with _usage("--systems-dir", OSError, ValueError), _usage(None, GenerationError):
         systems = materialize_systems(config)
-    except (OSError, ValueError) as exc:
-        return _usage_error(f"--systems-dir: {exc}")
-    except GenerationError as exc:
-        return _usage_error(str(exc))
     progress = None
     if args.verbose:
         start = time.perf_counter()
@@ -934,10 +911,8 @@ def _cmd_experiment(args) -> int:
             print(f"row {done}/{total}, {rate:.3g} rows/s, ETA {eta:.0f} s",
                   file=sys.stderr, flush=True)
 
-    try:
+    with _usage("--systems-dir", ConfigError):  # raised before any cell runs
         rows = run_experiment(config, systems, workers=args.workers, progress=progress)
-    except ConfigError as exc:  # raised before any cell runs
-        return _usage_error(f"--systems-dir: {exc}")
     Path(args.out).write_text(
         emit_results_csv(rows, include_timing=config.emit_timing), encoding="utf-8"
     )
@@ -949,10 +924,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    try:
+    with _usage("--results", OSError, ValueError):
         rows = parse_results_csv(Path(args.results).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        return _usage_error(f"--results: {exc}")
     text = emit_summary_csv(
         summarize(rows, exclude_smallest_fraction=args.exclude_smallest_partition)
     )
@@ -972,22 +945,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a flag that sets an ExperimentConfig field has the field's name as its
+    # dest and None as its default, so `_config` reads it by name
     p = sub.add_parser("generate", help="write synthetic stored-system files")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int, default=101)
-    p.add_argument("--entities", type=int, default=30)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--class-min", type=int, default=3)
-    p.add_argument("--class-max", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", dest="n_target_systems", type=int)
+    p.add_argument("--entities", dest="entity_count", type=int)
+    p.add_argument("--gamma", dest="generation_gamma", type=float)
+    p.add_argument("--alpha", dest="generation_alpha", type=float)
+    p.add_argument("--class-min", type=int)
+    p.add_argument("--class-max", type=int)
+    p.add_argument("--seed", dest="master_seed", type=int)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("simulate", help="simulate a dataset from a system file")
     p.add_argument("--system", required=True)
-    p.add_argument("--entities", type=int, default=30)
+    p.add_argument("--entities", type=int, default=ExperimentConfig.entity_count)
     p.add_argument("--observed-fraction", type=float, default=0.5)
-    p.add_argument("--test-fraction", type=float, default=0.1)
+    p.add_argument("--test-fraction", type=float, default=ExperimentConfig.test_fraction)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
@@ -1002,8 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     p.set_defaults(func=_cmd_infer)
 
-    # a flag that sets an ExperimentConfig field has the field's name as its
-    # dest and None as its default, so `_cmd_experiment` reads it by name
     p = sub.add_parser("experiment", help="run the full evaluation grid")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--entities", dest="entity_count", type=int)
@@ -1037,7 +1010,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

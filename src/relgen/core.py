@@ -39,7 +39,7 @@ class GenerationError(RuntimeError):
     """Rejection sampling failed to produce an admissible draw."""
 
 
-class SplitError(ValueError):
+class SplitError(ConfigError):
     """An observed/test split request cannot be satisfied."""
 
 

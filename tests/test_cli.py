@@ -1,7 +1,10 @@
 """Seed derivation, config handling, the experiment grid, CSV, and commands."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -30,9 +33,15 @@ from relgen import (
     optimize_tau,
     parse_results_csv,
     run_experiment,
+    save_system,
     summarize,
 )
-from relgen.cli import VALID_TAU_MODES, _cell_rows, materialize_systems
+from relgen.cli import (
+    VALID_TAU_MODES,
+    _cell_rows,
+    build_parser,
+    materialize_systems,
+)
 
 
 def tiny_config(**over):
@@ -1061,3 +1070,60 @@ def test_cli_rejects_duplicate_system_names(tmp_path, capsys):
         assert err.startswith("error: --systems-dir: "), err
         assert "synthetic-000" in err
         assert not out.exists()
+
+
+def test_cli_comma_lists_ignore_spaces(tmp_path):
+    lists = ["--models", "irm, hybrid", "--k-values", "1, 2", "--fractions", " 0.2 ,0.5,"]
+    args = build_parser().parse_args(["experiment", *lists, "--out", "rows.csv"])
+    assert args.models == ("irm", "hybrid")
+    assert args.stored_counts == (1, 2)
+    assert args.observed_fractions == (0.2, 0.5)
+    out = tmp_path / "rows.csv"
+    assert main([
+        "experiment", *lists, "--targets", "3", "--entities", "6", "--burn-in", "1",
+        "--retained", "1", "--thinning", "1", "--out", str(out),
+    ]) == 0
+    assert len(parse_results_csv(out.read_text())) == 3 * 2 * 3
+
+
+def test_cli_generate_defaults_are_the_configs(tmp_path):
+    # with no flag but --out-dir, generate writes ExperimentConfig()'s systems
+    assert main(["generate", "--out-dir", str(tmp_path / "cli")]) == 0
+    expected = tmp_path / "library"
+    expected.mkdir()
+    for system in materialize_systems(ExperimentConfig()):
+        save_system(system, expected / f"{system.name}.json")
+    written = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert written == sorted(p.name for p in expected.iterdir())
+    assert len(written) == ExperimentConfig().n_target_systems
+    for name in written:
+        assert (tmp_path / "cli" / name).read_bytes() == (expected / name).read_bytes()
+
+
+def test_cli_generate_class_bounds(tmp_path, capsys):
+    # a bound left out is the default's; an explicit 0 is refused, not defaulted
+    out = tmp_path / "systems"
+    for flags, err in (
+        (["--class-min", "0"], "error: invalid class_range (0, 6)"),
+        (["--class-max", "2"], "error: invalid class_range (3, 2)"),
+        (["--class-min", "1", "--class-max", "0"], "error: invalid class_range (1, 0)"),
+    ):
+        assert main(["generate", "--out-dir", str(out)] + flags) == 2
+        assert capsys.readouterr().err == err + "\n"
+        assert not out.exists()
+    assert main(["generate", "--out-dir", str(out), "--count", "2", "--entities", "4",
+                 "--class-max", "4"]) == 0
+    assert len(list(out.glob("*.json"))) == 2
+
+
+@pytest.mark.parametrize(
+    "command", [[], ["generate"], ["simulate"], ["infer"], ["experiment"], ["summarize"]]
+)
+def test_python_m_relgen_help_exits_0(command):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "relgen", *command, "--help"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: relgen")
