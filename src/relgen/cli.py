@@ -39,6 +39,7 @@ from .core import (
     RelationData,
     SplitError,
     StoredSystem,
+    _misfit,
     clamp_probs,
     predictive_prob,
 )
@@ -114,33 +115,25 @@ DEFAULT_STORED_COUNTS = (2, 5, 10, 100)
 _SCALAR_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
 
 
-def _typed(name: str, value, kind: type):
-    """``value`` as ``kind`` (int, float, bool or str), or a ConfigError
-    naming the setting.  An int passes as a float; only a bool passes as a
-    bool."""
-    if isinstance(value, np.generic):
-        value = value.item()
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 def _setting(name: str, value, annotation: str):
     """``value`` as the setting ``name`` of the field type ``annotation`` (a
     string, as every annotation in this module is), or a ConfigError naming
     it.  ``str | None`` is a path or None; a ``tuple[...]`` setting is a list
-    or tuple whose items are checked by `_typed`."""
+    or tuple, each item checked as the setting ``<name> item``; the rest
+    follow `_misfit`'s type rule."""
     if annotation == "str | None":
         if not isinstance(value, (str, Path, type(None))):
             raise ConfigError(f"{name} must be a path, got {value!r}")
         return value
-    if not annotation.startswith("tuple["):
-        return _typed(name, value, _SCALAR_TYPES[annotation])
-    kind = _SCALAR_TYPES[annotation.removeprefix("tuple[").split(",")[0]]
-    if not isinstance(value, (list, tuple, np.ndarray)):
-        raise ConfigError(f"{name} must be a list of {kind.__name__}, got {value!r}")
-    return tuple(_typed(f"{name} item", v, kind) for v in value)
+    if annotation.startswith("tuple["):
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        item = annotation.removeprefix("tuple[").split(",")[0]
+        return tuple(_setting(f"{name} item", v, item) for v in value)
+    kind = _SCALAR_TYPES[annotation]
+    if problem := _misfit(value, kind):
+        raise ConfigError(f"{name} must be {problem}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -376,12 +369,12 @@ class _Cell:
     """One split's chains, each run at most once, and every row cut from them.
 
     `fit` is the one place that fits a model, for a grid cell and `relgen
-    infer` alike.  The cell shares its chains, and each K's analogy report,
-    between rows.  Chain seeds derive from ``seed``, the cell seed in the
-    grid and --seed in `infer`: stored system s's from (seed, "stored-chain",
-    s.name), the theory's from (seed, "theory-chain").  Pool size K uses the
-    first K systems of ``pool``.  The stored chains run together for the
-    largest of ``counts`` the pool can serve, and a row passes the first K of
+    infer` alike.  The cell shares its chains between rows.  Chain seeds
+    derive from ``seed``, the cell seed in the grid and --seed in `infer`:
+    stored system s's from (seed, "stored-chain", s.name), the theory's from
+    (seed, "theory-chain").  Pool size K uses the first K systems of
+    ``pool``.  The stored chains run together for the largest of ``counts``
+    the pool can serve, and a row passes the first K of
     them to the library's evidence and prediction functions (the evidence
     being each chain's own ``log_evidence``, estimated once), so rows of
     different K are paired; a K beyond the pool fails only its own rows.
@@ -398,7 +391,6 @@ class _Cell:
         self.n_run = max((k for k in counts if k <= len(pool)), default=0)
         self.validation_seed = validation_seed
         self.truths = _truths(data, data.test_cells)
-        self.reports = {}
 
     def _seeded(self, *label) -> McmcSchedule:
         return self.schedule.with_seed(derive_seed(self.seed, *label))
@@ -416,37 +408,31 @@ class _Cell:
         return run_irm_chain(self.data, self._seeded("theory-chain"))
 
     def fit(self, model: str, k: int | None):
-        """One row: (row fields, test predictions, pool report, payload).
-
-        The pool models also return the first K systems' evidence report.  A
-        hybrid row returns ``{"score": None}``, no predictions, and its payload.
-        """
+        """One row: (row fields, test predictions, hybrid payload or None).
+        A hybrid row returns ``{"score": None}``, no predictions, and its
+        payload; only an analogy row builds its pool's `analogy_report`."""
         data, cells, truths = self.data, self.data.test_cells, self.truths
         if model == "irm":
             preds = irm_predict_cells(self.theory, data, cells)
-            return {"score": evaluate(preds, truths)}, preds, None, None
+            return {"score": evaluate(preds, truths)}, preds, None
         systems = _pool_prefix(self.pool, k)
         chains = self.stored[:k]
-        report = self.reports.get(k) or analogy_report(systems, chains)
-        self.reports[k] = report
         if model == "analogy":
+            report = analogy_report(systems, chains)
             preds = analogy_predict_cells(chains, systems, report.weights, cells)
-            bits = {
-                "score": evaluate(preds, truths),
-                "weights": tuple(zip(report.names, (float(x) for x in report.weights))),
-            }
-            return bits, preds, report, None
+            weights = tuple(zip(report.names, (float(x) for x in report.weights)))
+            return {"score": evaluate(preds, truths), "weights": weights}, preds, None
         log_ev = hybrid_log_evidences(chains, self.theory)
-        comps = hybrid_component_predictions(chains, self.theory, systems, data, cells)
-        tau_comps, tau_truths = comps, truths
+        tau_cells = ()
         if self.validation_seed is not None:
             tau_cells = _validation_cells(data, self.validation_seed)
-            tau_comps = hybrid_component_predictions(
-                chains, self.theory, systems, data, tau_cells
-            )
-            tau_truths = _truths(data, tau_cells)
-        payload = _HybridPayload(report.names, comps, log_ev, truths, tau_comps, tau_truths)
-        return {"score": None}, None, report, payload
+        # one call for the test and tau cells: each cell's value is computed
+        # on its own, so splitting after the call keeps every bit
+        comps = hybrid_component_predictions(chains, self.theory, systems, data, cells + tau_cells)
+        n, names = len(cells), tuple(s.name for s in systems)
+        tau = (comps[n:], _truths(data, tau_cells)) if tau_cells else (comps, truths)
+        payload = _HybridPayload(names, comps[:n], log_ev, truths, *tau)
+        return {"score": None}, None, payload
 
 
 def _score_hybrid(payloads, bounds) -> list[tuple[dict, np.ndarray]]:
@@ -539,7 +525,7 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
                     seed,
                     validation_seed,
                 )
-            bits, _, _, payload = cell.fit(model, k)
+            bits, _, payload = cell.fit(model, k)
             fields.update(n_test=len(cell.data.test_cells), **bits)
         except Exception as exc:  # noqa: BLE001 - a row failure must not kill the run
             fields.update(_error_fields(exc))
@@ -600,7 +586,7 @@ def run_experiment(
     ``workers``, which run whole cells; pass ``progress`` (a callable taking
     done and total row counts) for coarse status reporting.  Raises
     ConfigError, before any cell runs, when ``systems`` holds fewer than
-    ``config.n_target_systems`` systems.
+    ``config.n_target_systems`` systems or two systems of one name.
     """
     if systems is None:
         systems = materialize_systems(config)
@@ -609,6 +595,10 @@ def run_experiment(
             f"{len(systems)} systems given, fewer than "
             f"n_target_systems={config.n_target_systems}"
         )
+    names = [s.name for s in systems]
+    if len(set(names)) != len(names):
+        dup = next(n for n in names if names.count(n) > 1)
+        raise ConfigError(f"system names must be unique; {dup!r} repeats")
     cells = [
         (t_idx, f_idx)
         for t_idx in range(config.n_target_systems)
@@ -850,6 +840,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    if args.model == "irm" and (args.k is not None or args.systems_dir is not None):
+        raise UsageError("--k and --systems-dir apply only to analogy/hybrid")
+    if args.model != "irm" and not args.systems_dir:
+        raise UsageError("--systems-dir is required for analogy/hybrid")
     with _usage("--dataset", OSError, ValueError):
         data = load_dataset(args.dataset)
     flags = dict(burn_in=args.burn_in, n_retained=args.n_retained, thinning=args.thinning)
@@ -857,15 +851,13 @@ def _cmd_infer(args) -> int:
         schedule = McmcSchedule(**{k: v for k, v in flags.items() if v is not None})
     pool = []
     if args.model != "irm":
-        if not args.systems_dir:
-            raise UsageError("--systems-dir is required for analogy/hybrid")
         with _usage("--systems-dir", OSError, ValueError):
             pool = load_systems_dir(args.systems_dir)
         if args.k is not None:
             with _usage("--k", ConfigError):
                 pool = _pool_prefix(pool, args.k)
     cell = _Cell(data, pool, (len(pool),), schedule, args.seed)
-    bits, preds, report, payload = cell.fit(args.model, len(pool) or None)
+    bits, preds, payload = cell.fit(args.model, len(pool) or None)
     if payload is not None:
         ((bits, preds),) = _score_hybrid([payload], (TAU_LOG10_LOWER, TAU_LOG10_UPPER))
     cells = data.test_cells
@@ -874,12 +866,10 @@ def _cmd_infer(args) -> int:
         _csv_text(["row", "col", "truth", "prob"], records), encoding="utf-8"
     )
     # the pool models also write the evidence ranking over their pool
-    if report is not None:
-        ranked = [report.names.index(name) for name in report.ranking]
-        records = (
-            (rank, report.names[i], report.log_evidences[i], report.weights[i])
-            for rank, i in enumerate(ranked, start=1)
-        )
+    if pool:
+        report = analogy_report(pool, cell.stored)
+        by_name = dict(zip(report.names, zip(report.log_evidences, report.weights)))
+        records = ((rank, name, *by_name[name]) for rank, name in enumerate(report.ranking, 1))
         Path(str(args.out) + ".report.csv").write_text(
             _csv_text(["rank", "system", "log_evidence", "weight"], records),
             encoding="utf-8",

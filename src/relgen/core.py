@@ -55,6 +55,24 @@ class OptimizationError(RuntimeError):
         self.tau = tau
 
 
+def _misfit(value, kind: type, depth: int = 0) -> str | None:
+    """Why ``value`` is not a JSON ``kind`` (int, float, str or bool) inside
+    ``depth`` levels of lists, or None: the one type rule for outside values.
+    A numpy scalar is its Python value, a tuple or array a list; an int
+    passes as a float, and only a bool as a bool."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if depth:
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            return f"a list, got {value!r}"
+        return next(filter(None, (_misfit(v, kind, depth - 1) for v in value)), None)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        name = {int: "integer", float: "number", str: "string", bool: "boolean"}[kind]
+        return f"a JSON {name}, got {value!r}"
+    return None
+
+
 def clamp_probs(p):
     """Clip probabilities into [PROB_EPS, 1 - PROB_EPS]."""
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)

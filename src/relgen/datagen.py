@@ -26,6 +26,7 @@ from .core import (
     RelationData,
     SplitError,
     StoredSystem,
+    _misfit,
 )
 from .crp import sample_partition
 
@@ -144,23 +145,9 @@ def make_split(data: RelationData, spec: SplitSpec) -> RelationData:
 # row-major positions (index = row * n + col).
 
 def _json_field(doc, key: str, kind: type, depth: int = 0):
-    """``doc[key]``, checked to be a JSON ``kind`` (int, float or str) inside
-    ``depth`` levels of lists.  An int passes as a float; a bool never passes.
-    Raises ValueError naming the key and the first value that does not fit."""
-
-    def misfit(value, depth):
-        if depth:
-            if not isinstance(value, list):
-                return f"a list, got {value!r}"
-            return next(filter(None, (misfit(v, depth - 1) for v in value)), None)
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            name = {int: "integer", float: "number", str: "string"}[kind]
-            return f"a JSON {name}, got {value!r}"
-        return None
-
-    problem = misfit(doc[key], depth)
-    if problem:
+    """``doc[key]``, if `_misfit` finds it a JSON ``kind`` inside ``depth``
+    levels of lists; else a ValueError naming the key and the misfit."""
+    if problem := _misfit(doc[key], kind, depth):
         raise ValueError(f"{key}: expected {problem}")
     return doc[key]
 

@@ -22,7 +22,10 @@ from relgen import (
     PosteriorSamples,
     RelationData,
     ResultRow,
+    StoredSystem,
     analogy_report,
+    dataset_from_text,
+    dataset_to_text,
     derive_seed,
     emit_results_csv,
     emit_summary_csv,
@@ -35,6 +38,8 @@ from relgen import (
     run_experiment,
     save_system,
     summarize,
+    system_from_text,
+    system_to_text,
 )
 from relgen.cli import (
     VALID_TAU_MODES,
@@ -187,6 +192,39 @@ def test_config_wrong_type_names_the_setting(bad):
         ExperimentConfig.from_sources(bad)
 
 
+# one type rule for settings and files: each case is (kind, depth, value),
+# refused both as the setting and as the file field of that kind and depth
+SHARED_MISFITS = [
+    ("int", 0, True),  # a bool for an int
+    ("int", 0, 1.5),
+    ("float", 1, ["1"]),  # a numeric string for a float
+    ("int", 1, 0),  # a scalar where a list belongs
+    ("float", 1, [0.5, [0.5]]),  # a misfit nested in a list
+]
+SETTING_OF = {("int", 0): "entity_count", ("int", 1): "stored_counts",
+              ("float", 1): "observed_fractions"}
+FILE_FIELD_OF = {("int", 0): "n_entities", ("int", 1): "cells", ("float", 1): "zeta"}
+
+
+@pytest.mark.parametrize("kind, depth, value", SHARED_MISFITS)
+def test_settings_and_files_share_one_type_rule(kind, depth, value):
+    setting = SETTING_OF[kind, depth]
+    with pytest.raises(ConfigError, match=f"^{setting} ") as from_config:
+        ExperimentConfig.from_sources({setting: value})
+    key = FILE_FIELD_OF[kind, depth]
+    if key == "zeta":
+        doc = json.loads(system_to_text(StoredSystem("s", [[0.5]], [1.0])))
+        read = system_from_text
+    else:
+        doc = json.loads(dataset_to_text(RelationData(1, [[1]], [[True]])))
+        read = dataset_from_text
+    with pytest.raises(ValueError, match=f": {key}: expected ") as from_file:
+        read(json.dumps({**doc, key: value}))
+    # both name the same misfit in the same words
+    problem = str(from_file.value).split(": expected ", 1)[1]
+    assert str(from_config.value).endswith(f" must be {problem}")
+
+
 def test_config_from_sources_layering():
     file_values = {"entity_count": 12, "master_seed": 5}
     overrides = {"master_seed": 9, "models": ("irm",), "entity_count": None}
@@ -238,7 +276,9 @@ def test_cell_rows_default_grid_size(monkeypatch):
 
     monkeypatch.setattr(cli, "_execute_cell", stub_cell)
     totals = set()
-    rows = run_experiment(config, [None] * 101, progress=lambda _, n: totals.add(n))
+    # stand-ins for the systems: the grid reads only their names
+    systems = [SimpleNamespace(name=f"s{i}") for i in range(101)]
+    rows = run_experiment(config, systems, progress=lambda _, n: totals.add(n))
     assert len(rows) == 101 * 9 * (1 + 4 + 4) and totals == {len(rows)}
     assert rows[:9] == [(0, 0, model, k) for model, k in _cell_rows(config)]
     assert rows[-1] == (100, 8, "hybrid", 100)
@@ -533,7 +573,7 @@ def test_cell_runs_each_chain_once_and_pairs_its_rows(monkeypatch):
 
 
 def test_cell_builds_each_pool_report_once(monkeypatch):
-    # a K's analogy and hybrid rows share one report
+    # a K's analogy row builds its report; a hybrid row builds none
     import relgen.cli as cli
 
     calls = []
@@ -544,9 +584,43 @@ def test_cell_builds_each_pool_report_once(monkeypatch):
 
     monkeypatch.setattr(cli, "analogy_report", counting)
     config = tiny_config(n_target_systems=1, observed_fractions=(0.5,), stored_counts=(2, 3))
-    rows = run_experiment(config, materialize_systems(tiny_config(n_target_systems=4)))
+    systems = materialize_systems(tiny_config(n_target_systems=4))
+    rows = run_experiment(config, systems)
     assert all(r.status == "ok" for r in rows) and len(rows) == 5
     assert sorted(calls) == [2, 3]
+    calls.clear()
+    rows = run_experiment(replace(config, models=("hybrid",)), systems)
+    assert all(r.status == "ok" for r in rows) and len(rows) == 2
+    assert calls == []
+
+
+def test_validation_split_hybrid_row_makes_one_component_call(monkeypatch):
+    # the test and validation cells go through one call, split after it
+    import relgen.cli as cli
+
+    calls = []
+    real = cli.hybrid_component_predictions
+
+    def counting(stored, theory, systems, data, cells):
+        calls.append(len(cells))
+        return real(stored, theory, systems, data, cells)
+
+    monkeypatch.setattr(cli, "hybrid_component_predictions", counting)
+    config = tiny_config(n_target_systems=1, observed_fractions=(0.5,),
+                         models=("hybrid",), tau_mode="validation-split")
+    (row,) = run_experiment(config, materialize_systems(tiny_config(n_target_systems=3)))
+    assert row.status == "ok" and row.score is not None
+    # 6 test cells and as many validation cells
+    assert calls == [2 * row.n_test]
+
+
+def test_run_experiment_refuses_repeated_system_names():
+    # refused before any cell runs, not as errors of the rows whose pool
+    # holds both systems
+    systems = materialize_systems(tiny_config())
+    systems[2] = replace(systems[2], name=systems[1].name)
+    with pytest.raises(ConfigError, match="system names must be unique; 'synthetic-001'"):
+        run_experiment(tiny_config(), systems)
 
 
 def test_each_chain_estimates_its_evidence_once(monkeypatch):
@@ -790,6 +864,26 @@ def test_cli_infer_requires_systems_dir(tmp_path):
         "--out", str(tmp_path / "p.csv"),
     ])
     assert code == 2
+
+
+def test_cli_infer_irm_refuses_pool_flags(tmp_path, capsys):
+    systems = tmp_path / "systems"
+    assert main(["generate", "--out-dir", str(systems), "--count", "2",
+                 "--entities", "6", "--class-min", "2", "--class-max", "3"]) == 0
+    dataset = tmp_path / "data.json"
+    assert main(["simulate", "--system", str(systems / "synthetic-000.json"),
+                 "--entities", "6", "--out", str(dataset)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "p.csv"
+    base = ["infer", "--dataset", str(dataset), "--model", "irm", "--out", str(out)]
+    for extra in (["--k", "99", "--systems-dir", str(tmp_path / "nonexistent")],
+                  ["--k", "2"], ["--systems-dir", str(systems)]):
+        assert main(base + extra) == 2, extra
+        assert capsys.readouterr().err.startswith(
+            "error: --k and --systems-dir apply only to analogy/hybrid"
+        ), extra
+        assert not out.exists()
+    assert main(base) == 0
 
 
 @pytest.mark.parametrize("k", ["-1", "0", "4"])

@@ -88,9 +88,10 @@ def infer_outputs(workdir: Path) -> dict[str, str]:
     outputs = {}
     for model in INFER_MODELS:
         preds = workdir / f"infer-{model}.csv"
+        pool = [] if model == "irm" else ["--systems-dir", str(systems)]
         assert main([
-            "infer", "--dataset", str(dataset), "--model", model,
-            "--systems-dir", str(systems), "--seed", "7", "--out", str(preds),
+            "infer", "--dataset", str(dataset), "--model", model, *pool,
+            "--seed", "7", "--out", str(preds),
             "--burn-in", "20", "--retained", "10", "--thinning", "1",
         ]) == 0
         for path in (preds, preds.with_name(preds.name + ".report.csv")):
