@@ -314,7 +314,7 @@ def run_stored_chain(
         # moving fewer than about n/10 entities, as the previous sweep's
         # moves predict; the first sweep has no such predictor, so no screen
         moves = _sweep_stored(z, tables, rng, 12 * moves < data.n_entities)
-        onehot = eye[z]
+        onehot = eye[z]  # not pair_counts: its checks and one-hot take twice as long
         counts = onehot.T @ observed @ onehot
         ll = float(_loglik_from_counts(*counts, tables[4]))
         z, ll = _class_swap_move(z, counts, ll, tables, live, rng)

@@ -408,9 +408,9 @@ class _Cell:
         return run_irm_chain(self.data, self._seeded("theory-chain"))
 
     def fit(self, model: str, k: int | None):
-        """One row: (row fields, test predictions, hybrid payload or None).
-        A hybrid row returns ``{"score": None}``, no predictions, and its
-        payload; only an analogy row builds its pool's `analogy_report`."""
+        """One row: (row fields, test predictions, extra), where extra is an
+        analogy row's pool `analogy_report`, a hybrid row's payload, or None.
+        A hybrid row returns ``{"score": None}`` and no predictions."""
         data, cells, truths = self.data, self.data.test_cells, self.truths
         if model == "irm":
             preds = irm_predict_cells(self.theory, data, cells)
@@ -421,7 +421,7 @@ class _Cell:
             report = analogy_report(systems, chains)
             preds = analogy_predict_cells(chains, systems, report.weights, cells)
             weights = tuple(zip(report.names, (float(x) for x in report.weights)))
-            return {"score": evaluate(preds, truths), "weights": weights}, preds, None
+            return {"score": evaluate(preds, truths), "weights": weights}, preds, report
         log_ev = hybrid_log_evidences(chains, self.theory)
         tau_cells = ()
         if self.validation_seed is not None:
@@ -530,6 +530,7 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
         except Exception as exc:  # noqa: BLE001 - a row failure must not kill the run
             fields.update(_error_fields(exc))
         now = time.perf_counter()
+        payload = payload if model == "hybrid" else None  # drop an analogy row's report
         out.append((ResultRow(**fields, wall_seconds=now - start), payload))
         start = now
     if config.tau_mode == "global":
@@ -857,17 +858,18 @@ def _cmd_infer(args) -> int:
             with _usage("--k", ConfigError):
                 pool = _pool_prefix(pool, args.k)
     cell = _Cell(data, pool, (len(pool),), schedule, args.seed)
-    bits, preds, payload = cell.fit(args.model, len(pool) or None)
-    if payload is not None:
-        ((bits, preds),) = _score_hybrid([payload], (TAU_LOG10_LOWER, TAU_LOG10_UPPER))
+    bits, preds, extra = cell.fit(args.model, len(pool) or None)
+    report = extra  # an analogy row's pool report, or None for irm
+    if args.model == "hybrid":
+        ((bits, preds),) = _score_hybrid([extra], (TAU_LOG10_LOWER, TAU_LOG10_UPPER))
+        report = analogy_report(pool, cell.stored)
     cells = data.test_cells
     records = ((r, c, t, p) for (r, c), t, p in zip(cells, cell.truths, preds))
     Path(args.out).write_text(
         _csv_text(["row", "col", "truth", "prob"], records), encoding="utf-8"
     )
     # the pool models also write the evidence ranking over their pool
-    if pool:
-        report = analogy_report(pool, cell.stored)
+    if report is not None:
         by_name = dict(zip(report.names, zip(report.log_evidences, report.weights)))
         records = ((rank, name, *by_name[name]) for rank, name in enumerate(report.ranking, 1))
         Path(str(args.out) + ".report.csv").write_text(

@@ -79,6 +79,8 @@ def clamp_probs(p):
 
 
 def _as_assignments(z) -> np.ndarray:
+    """A label vector or a `Partition` as 1-d int64 labels: the one way labels
+    enter; `_check_assignments` then sets them against the data."""
     if isinstance(z, Partition):
         return z.assignments
     arr = np.asarray(z, dtype=np.int64)
@@ -94,7 +96,7 @@ def canonical_labels(labels) -> np.ndarray:
     so any two label vectors inducing the same grouping map to the same
     canonical vector.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _as_assignments(labels)
     mapping: dict[int, int] = {}
     out = np.empty_like(labels)
     for i, lab in enumerate(labels.tolist()):
@@ -438,9 +440,7 @@ def collapsed_loglik(data: RelationData, partition, alpha: float) -> float:
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     z = _as_assignments(partition)
-    if z.size == 0:
-        return 0.0
-    return _collapsed_from_counts(*pair_counts(data, z, int(z.max()) + 1), alpha)
+    return _collapsed_from_counts(*pair_counts(data, z, int(z.max(initial=-1)) + 1), alpha)
 
 
 def _collapsed_from_counts(ones, zeros, alpha: float) -> float:

@@ -55,11 +55,7 @@ def crp_log_prior(partition, gamma: float) -> float:
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
-    if isinstance(partition, Partition):
-        counts = partition.counts
-    else:
-        counts = Partition.from_assignments(partition).counts
-    return _log_prior_from_counts(counts, gamma)
+    return _log_prior_from_counts(Partition.from_assignments(partition).counts, gamma)
 
 
 def sample_partition(n_entities: int, gamma: float, rng: np.random.Generator) -> Partition:

@@ -126,10 +126,7 @@ def make_split(data: RelationData, spec: SplitSpec) -> RelationData:
     n_cells = n * n
     n_obs = int(np.floor(spec.observed_fraction * n_cells))
     n_test = int(np.floor(spec.test_fraction * n_cells))
-    if n_obs + n_test > n_cells:
-        raise SplitError(
-            f"cannot place {n_obs} observed + {n_test} test cells in {n_cells}"
-        )
+    # SplitSpec keeps observed + test <= 1, so n_obs + n_test <= n_cells
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n_cells)
     obs_idx = perm[:n_obs]

@@ -95,8 +95,6 @@ class _ChainState:
     __slots__ = ("z", "sizes", "log_seats", "counts", "onehot", "tallies", "lgamma", "lgamma_alpha")
 
     def __init__(self, data: RelationData, partition: Partition):
-        if partition.n_entities != data.n_entities:
-            raise DimensionError("partition size does not match entity count")
         n, k = partition.n_entities, partition.n_classes
         self.z: list[int] = partition.assignments.tolist()
         self.sizes: list[int] = partition.counts.tolist()

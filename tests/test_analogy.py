@@ -16,6 +16,7 @@ from relgen import (
     DegenerateWeightsError,
     DimensionError,
     McmcSchedule,
+    PosteriorSamples,
     RelationData,
     StoredSystem,
     analogy_predict_cells,
@@ -725,3 +726,25 @@ def test_generator_recovery_single_trial():
     chains = [run_stored_chain(data, s, sched.with_seed(10 + i)) for i, s in enumerate(pool)]
     report = analogy_report(pool, chains)
     assert report.best == "target"
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda pool, chains: analogy_weights([]), DimensionError),
+        (lambda pool, chains: analogy_weights([0.0, 0.0], [0.0]), DimensionError),
+        (lambda pool, chains: analogy_report([], []), DimensionError),
+        (lambda pool, chains: analogy_report(pool, chains[:1]), DimensionError),
+        (
+            lambda pool, chains: analogy_predict_cells(chains, pool, [1.0], [(0, 0)]),
+            DimensionError,
+        ),
+    ],
+    ids=["no evidences", "prior shape", "empty pool", "one chain short", "weights short"],
+)
+def test_analogy_refuses_malformed_input(call, error):
+    pool = [two_class_system("a"), two_class_system("b")]
+    chains = [PosteriorSamples([[0, 1, 0]], [-1.0], f"stored:{s.name}") for s in pool]
+    with pytest.raises(error) as caught:
+        call(pool, chains)
+    assert type(caught.value) is error

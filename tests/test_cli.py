@@ -154,6 +154,8 @@ WRONG_TYPES = [
         dict(observed_fractions=(0.95,)),  # collides with test fraction
         dict(stored_counts=(0,)),
         dict(stored_counts=(2, 2)),
+        dict(stored_counts=()),  # the default models include analogy and hybrid
+        dict(models=("hybrid",), stored_counts=()),
         dict(models=()),
         dict(models=("irm", "irm")),
         dict(models=("nonsense",)),
@@ -166,6 +168,7 @@ WRONG_TYPES = [
         dict(tau_mode="sometimes"),
         dict(class_range=(0, 3)),
         dict(class_range=(5, 3)),
+        dict(entity_count=2),  # below the default class minimum of 3
         dict(generation_gamma=0.0),
         # tau = 10**bound must be a positive finite float
         dict(tau_upper=400.0),
@@ -223,6 +226,15 @@ def test_settings_and_files_share_one_type_rule(kind, depth, value):
     # both name the same misfit in the same words
     problem = str(from_file.value).split(": expected ", 1)[1]
     assert str(from_config.value).endswith(f" must be {problem}")
+
+
+def test_config_unwraps_numpy_scalars():
+    config = ExperimentConfig.from_sources(
+        {"entity_count": np.int64(12), "test_fraction": np.float64(0.05),
+         "stored_counts": np.array([1, 2])}
+    )
+    assert config == ExperimentConfig(entity_count=12, test_fraction=0.05, stored_counts=(1, 2))
+    assert type(config.entity_count) is int and type(config.stored_counts[0]) is int
 
 
 def test_config_from_sources_layering():
@@ -332,6 +344,13 @@ def test_results_csv_round_trip():
 def test_results_csv_rejects_foreign_header():
     with pytest.raises(ValueError):
         parse_results_csv("alpha,beta\n1,2\n")
+
+
+def test_results_csv_skips_blank_lines_and_refuses_short_ones():
+    head, rest = emit_results_csv(sample_rows()).split("\n", 1)
+    assert parse_results_csv(f"{head}\n\n{rest}\n") == sample_rows()
+    with pytest.raises(ValueError, match=f"expected {len(head.split(','))} fields, got 2"):
+        parse_results_csv(f"{head}\nsys-a,irm\n")
 
 
 def test_results_csv_rejects_unknown_model():
@@ -592,6 +611,29 @@ def test_cell_builds_each_pool_report_once(monkeypatch):
     rows = run_experiment(replace(config, models=("hybrid",)), systems)
     assert all(r.status == "ok" for r in rows) and len(rows) == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("model", ["analogy", "hybrid"])
+def test_cli_infer_builds_the_pool_report_once(tmp_path, monkeypatch, model):
+    calls = []
+
+    def counting(systems, chains):
+        calls.append(len(systems))
+        return analogy_report(systems, chains)
+
+    monkeypatch.setattr(relgen.cli, "analogy_report", counting)
+    systems = tmp_path / "systems"
+    assert main(["generate", "--out-dir", str(systems), "--count", "3",
+                 "--entities", "6", "--class-min", "2", "--class-max", "3"]) == 0
+    dataset = tmp_path / "data.json"
+    assert main(["simulate", "--system", str(systems / "synthetic-000.json"),
+                 "--entities", "6", "--out", str(dataset)]) == 0
+    out = tmp_path / "p.csv"
+    assert main(["infer", "--dataset", str(dataset), "--model", model,
+                 "--systems-dir", str(systems), "--burn-in", "5", "--retained", "5",
+                 "--thinning", "1", "--out", str(out)]) == 0
+    assert calls == [3]
+    assert len(Path(f"{out}.report.csv").read_text().splitlines()) == 4
 
 
 def test_validation_split_hybrid_row_makes_one_component_call(monkeypatch):
@@ -1108,6 +1150,23 @@ def test_cli_experiment_config_file(tmp_path):
         "experiment", "--config", str(config_path), "--models", "bogus",
         "--out", str(out),
     ]) == 2
+
+
+def test_cli_experiment_config_must_be_an_object(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text("[1, 2]")
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --config: expected a JSON object")
+    assert not out.exists()
+
+
+def test_cli_summarize_without_out_writes_stdout(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(emit_results_csv(sample_rows()))
+    assert main(["summarize", "--results", str(results)]) == 0
+    assert capsys.readouterr().out == emit_summary_csv(summarize(sample_rows()))
+    assert list(tmp_path.iterdir()) == [results]
 
 
 def test_cli_config_file_systems_dir_loads_the_files(tmp_path):

@@ -360,3 +360,60 @@ def test_arrays_are_frozen():
     p = Partition.from_assignments([0, 1, 0])
     with pytest.raises(ValueError):
         p.assignments[0] = 1
+
+
+def test_labels_enter_by_one_rule():
+    # every reader of class labels takes a partition or a 1-d vector, and
+    # refuses empty or 2-d labels the same way
+    data = random_data(np.random.default_rng(6), 3)
+    for loglik in (
+        lambda z: collapsed_loglik(data, z, 1.0),
+        lambda z: bernoulli_loglik(data, z, np.full((2, 2), 0.5)),
+    ):
+        for z in ([], [[0, 1, 0]]):
+            with pytest.raises(DimensionError):
+                loglik(z)
+    for read in (canonical_labels, Partition.from_assignments):
+        with pytest.raises(DimensionError):
+            read([[0, 1, 0]])
+    p = Partition.from_assignments([2, 0, 2])
+    assert canonical_labels(p).tolist() == [0, 1, 0]
+    assert Partition.from_assignments(p).key() == p.key()
+    assert collapsed_loglik(data, p, 1.0) == collapsed_loglik(data, [0, 1, 0], 1.0)
+    assert_array_equal(pair_counts(data, p, 2), pair_counts(data, p.assignments, 2))
+
+
+_LINK = np.array([[0.5, 0.2], [0.8, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda d: bernoulli_loglik(d, np.zeros((1, 3)), _LINK), DimensionError),
+        (lambda d: bernoulli_loglik(d, [0, 1, 0], np.full((2, 3), 0.5)), DimensionError),
+        (lambda d: Partition(np.zeros(0, dtype=np.int64)), DimensionError),
+        (lambda d: Partition(np.array([-1, 0])), DimensionError),
+        (lambda d: StoredSystem("s", _LINK, [1.0]), DimensionError),
+        (lambda d: StoredSystem("s", _LINK, [0.5, 0.5], ("a",)), DimensionError),
+        (lambda d: PosteriorSamples([[0, 0, 0]], [-1.0, -2.0], "irm"), DimensionError),
+        (lambda d: collapsed_loglik(d, [0, 1, 0], 0.0), ValueError),
+        (lambda d: collapsed_loglik(d, [0, 1, 0], -1.0), ValueError),
+        (lambda d: predictive_prob(np.zeros(0), np.zeros(0)), ValueError),
+    ],
+    ids=[
+        "2-d labels",
+        "non-square link probabilities",
+        "empty partition",
+        "negative label",
+        "class_probs length",
+        "class_names length",
+        "logliks length",
+        "alpha zero",
+        "alpha negative",
+        "no components",
+    ],
+)
+def test_core_refuses_malformed_input(call, error):
+    with pytest.raises(error) as caught:
+        call(random_data(np.random.default_rng(7), 3))
+    assert type(caught.value) is error

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from relgen import Partition, crp_assignment_probs, crp_log_prior, sample_partition
+from relgen import (
+    DimensionError,
+    Partition,
+    crp_assignment_probs,
+    crp_log_prior,
+    sample_partition,
+)
 
 from oracles import crp_log_prob_sequential, set_partitions, total_variation
 
@@ -120,3 +126,30 @@ def test_sample_partition_pair_share_rate():
     expected = 1.0 / (1.0 + gamma)
     # ~4 sigma of binomial noise
     assert abs(rate - expected) < 4 * np.sqrt(expected * (1 - expected) / reps)
+
+
+def test_log_prior_reads_labels_like_the_likelihoods():
+    # a partition and its raw labels are one input; 2-d labels are refused
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        labels = rng.integers(0, 4, size=int(rng.integers(1, 9)))
+        p = Partition.from_assignments(labels)
+        assert crp_log_prior(p, 1.3) == crp_log_prior(labels, 1.3)
+    with pytest.raises(DimensionError):
+        crp_log_prior([[0, 1]], 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda rng: crp_assignment_probs([[1.0, 2.0]], 1.0), DimensionError),
+        (lambda rng: crp_log_prior([0, 1], 0.0), ValueError),
+        (lambda rng: sample_partition(0, 1.0, rng), ValueError),
+        (lambda rng: sample_partition(3, 0.0, rng), ValueError),
+    ],
+    ids=["2-d counts", "prior gamma zero", "no entities", "sampler gamma zero"],
+)
+def test_crp_refuses_malformed_input(call, error):
+    with pytest.raises(error) as caught:
+        call(np.random.default_rng(0))
+    assert type(caught.value) is error

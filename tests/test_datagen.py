@@ -104,6 +104,18 @@ def test_make_split_counts_and_disjointness():
     assert other.test_cells != out.test_cells
 
 
+def test_make_split_fits_every_fraction_pair_the_spec_accepts():
+    # SplitSpec's observed + test <= 1 is the split's only capacity check
+    for n in (1, 3, 7, 10):
+        data = random_data(np.random.default_rng(n), n, observed_fraction=0.0)
+        for f in np.linspace(0.0, 1.0, 21):
+            t = np.nextafter(1.0 - f, 2.0)
+            if f + t > 1.0:
+                t = 1.0 - f
+            out = make_split(data, SplitSpec(f, t))
+            assert out.n_observed + len(out.test_cells) <= n * n
+
+
 def test_system_text_round_trip():
     system = StoredSystem(
         "demo",
@@ -243,3 +255,14 @@ def test_load_systems_dir_rejects_duplicate_names(tmp_path):
     save_system(system, tmp_path / "b.json")
     with pytest.raises(ValueError, match="a.json and b.json"):
         load_systems_dir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"class_range": (0, 3)}, {"class_range": (4, 3)}, {"probe_entities": 2}],
+    ids=["class minimum zero", "minimum above maximum", "probe below minimum"],
+)
+def test_generate_refuses_unusable_class_bounds(kwargs):
+    with pytest.raises(ValueError) as caught:
+        generate_synthetic_system(np.random.default_rng(0), **kwargs)
+    assert type(caught.value) is ValueError

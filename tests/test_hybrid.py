@@ -262,3 +262,25 @@ def test_import_keeps_scipy_optimize_out():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda *fit: hybrid_weights([0.0], 1.0), DimensionError),
+        (lambda *fit: hybrid_weights(np.zeros((2, 2)), 1.0), DimensionError),
+        (
+            lambda data, pool, chains, irm: hybrid_component_predictions(
+                chains[:2], irm, pool, data, data.test_cells
+            ),
+            DimensionError,
+        ),
+        (lambda *fit: optimize_tau(lambda tau: 0.0, 1.0, 1.0), ValueError),
+        (lambda *fit: optimize_tau(lambda tau: 0.0, -np.inf, 1.0), ValueError),
+    ],
+    ids=["one evidence", "2-d evidences", "pool and chains differ", "empty bracket", "infinite bound"],
+)
+def test_hybrid_refuses_malformed_input(call, error):
+    with pytest.raises(error) as caught:
+        call(*small_fit())
+    assert type(caught.value) is error

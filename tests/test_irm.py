@@ -126,6 +126,14 @@ def test_conditional_rejects_out_of_range_entity():
     assert conditional_class_logweights(data, part, 2, hp).shape == (3,)
 
 
+def test_sweep_rejects_a_partition_of_another_size():
+    hp = Hyperparameters(alpha=1.0, gamma=1.0)
+    data = random_data(np.random.default_rng(3), 3)
+    for labels in ([0, 1], [0, 1, 0, 1]):
+        with pytest.raises(DimensionError):
+            gibbs_sweep(data, Partition.from_assignments(labels), hp, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("cell, observed", [(1, True), (0, True), (1, False)])
 def test_conditional_self_cell_matches_joint_enumeration(cell, observed):
     hp = Hyperparameters(alpha=0.6, gamma=1.3)
