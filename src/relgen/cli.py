@@ -160,7 +160,6 @@ class ExperimentConfig:
     generation_alpha: float = 1.0
     class_range: tuple[int, int] = (3, 6)
     include_target_in_pool: bool = False
-    emit_timing: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -246,6 +245,7 @@ class ResultRow:
     seed: int = 0
     status: str = "ok"
     error: str = ""
+    # set only by the benchmark harness's rows; never written to the results CSV
     wall_seconds: float | None = None
 
     def __post_init__(self):
@@ -493,8 +493,7 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
     tau (a cell holds one hybrid row per K), or, under the global mode, once
     every cell has run, so they come back with their payloads.  A row that
     raises is recorded with an error marker and the cell's other rows still
-    complete.  A row's wall time includes the split and chains it was the
-    first to need, and never its tau search.
+    complete.
     """
     target = systems[target_index]
     seed = derive_seed(config.master_seed, "cell", target.name, fraction_index)
@@ -504,7 +503,6 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
             config.master_seed, "validation", target.name, fraction_index
         )
     cell = None
-    start = time.perf_counter()
     out = []
     for model, k in _cell_rows(config):
         fields = dict(
@@ -529,10 +527,8 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
             fields.update(n_test=len(cell.data.test_cells), **bits)
         except Exception as exc:  # noqa: BLE001 - a row failure must not kill the run
             fields.update(_error_fields(exc))
-        now = time.perf_counter()
         payload = payload if model == "hybrid" else None  # drop an analogy row's report
-        out.append((ResultRow(**fields, wall_seconds=now - start), payload))
-        start = now
+        out.append((ResultRow(**fields), payload))
     if config.tau_mode == "global":
         return out
     return [(row, None) for row in _scored_rows(out, (config.tau_lower, config.tau_upper))]
@@ -656,15 +652,9 @@ def _csv_text(header, records) -> str:
     return buf.getvalue()
 
 
-def emit_results_csv(rows, include_timing: bool = False) -> str:
-    """Render rows to CSV text; identical rows give identical bytes.
-
-    ``include_timing`` appends the wall_seconds column — useful diagnostics,
-    but timing varies between runs, so the column is off by default to keep
-    rerun output byte-identical.
-    """
-    header = RESULT_COLUMNS + (["wall_seconds"] if include_timing else [])
-    return _csv_text(header, ([getattr(r, name) for name in header] for r in rows))
+def emit_results_csv(rows) -> str:
+    """Render rows to CSV text; identical rows give identical bytes."""
+    return _csv_text(RESULT_COLUMNS, ([getattr(r, n) for n in RESULT_COLUMNS] for r in rows))
 
 
 def _parse_weights(text: str) -> tuple:
@@ -690,27 +680,29 @@ def _field_parser(annotation: str):
     return lambda text: parse(text) if text else None
 
 
-_RESULT_PARSERS = {f.name: _field_parser(f.type) for f in fields(ResultRow)}
+# each results column's parser, in column order
+_RESULT_PARSERS = {
+    f.name: _field_parser(f.type) for f in fields(ResultRow) if f.name in RESULT_COLUMNS
+}
 
 
 def parse_results_csv(text: str) -> list[ResultRow]:
-    """Inverse of emit_results_csv (timing column included when present).
+    """Inverse of emit_results_csv.
 
     Raises ValueError on a foreign header, a short or long line, or a row
     naming a model other than irm, analogy or hybrid.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
-    if header not in (RESULT_COLUMNS, RESULT_COLUMNS + ["wall_seconds"]):
+    if header != RESULT_COLUMNS:
         raise ValueError("unrecognized results CSV header")
-    parsers = [_RESULT_PARSERS[name] for name in header]
     rows = []
     for rec in reader:
         if not rec:
             continue
         if len(rec) != len(header):
             raise ValueError(f"expected {len(header)} fields, got {len(rec)}")
-        rows.append(ResultRow(**{n: p(v) for n, p, v in zip(header, parsers, rec)}))
+        rows.append(ResultRow(**{n: p(v) for (n, p), v in zip(_RESULT_PARSERS.items(), rec)}))
     return rows
 
 
@@ -905,9 +897,7 @@ def _cmd_experiment(args) -> int:
 
     with _usage("--systems-dir", ConfigError):  # raised before any cell runs
         rows = run_experiment(config, systems, workers=args.workers, progress=progress)
-    Path(args.out).write_text(
-        emit_results_csv(rows, include_timing=config.emit_timing), encoding="utf-8"
-    )
+    Path(args.out).write_text(emit_results_csv(rows), encoding="utf-8")
     errors = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows to {args.out} ({errors} errored)")
     if errors and not args.keep_going:
@@ -984,7 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--tau-mode", choices=VALID_TAU_MODES)
     p.add_argument("--include-target-in-pool", action="store_true", default=None)
-    p.add_argument("--emit-timing", action="store_true", default=None)
     p.add_argument("--keep-going", action="store_true",
                    help="exit 0 even when some rows errored")
     p.add_argument("--verbose", action="store_true",

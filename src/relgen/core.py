@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 
 import numpy as np
 from scipy.special import betaln
@@ -78,15 +79,19 @@ def clamp_probs(p):
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
-def _as_assignments(z) -> np.ndarray:
-    """A label vector or a `Partition` as 1-d int64 labels: the one way labels
-    enter; `_check_assignments` then sets them against the data."""
+def _as_assignments(z, ndim: int | None = 1) -> np.ndarray:
+    """A `Partition` or integer labels as an int64 array: the one way labels
+    enter.  The shape is checked first (``ndim`` None keeps any), then bool,
+    float and other non-integer labels are refused; an empty sequence passes.
+    `_check_assignments` then sets them against the data."""
     if isinstance(z, Partition):
         return z.assignments
-    arr = np.asarray(z, dtype=np.int64)
-    if arr.ndim != 1:
-        raise DimensionError(f"assignments must be 1-d, got shape {arr.shape}")
-    return arr
+    arr = np.asarray(z)
+    if ndim is not None and arr.ndim != ndim:
+        raise DimensionError(f"assignments must be {ndim}-d, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"class labels must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
 
 
 def canonical_labels(labels) -> np.ndarray:
@@ -129,18 +134,20 @@ class RelationData:
         n = self.n_entities
         if n < 1:
             raise DimensionError(f"a relation needs at least one entity, got n={n}")
-        cells = np.array(self.cells, dtype=np.int8)
-        mask = np.array(self.observed_mask, dtype=bool)
+        cells, mask = np.asarray(self.cells), np.asarray(self.observed_mask)
         if cells.shape != (n, n) or mask.shape != (n, n):
             raise DimensionError(
                 f"cells and observed_mask must be {n}x{n}, got "
                 f"{cells.shape} and {mask.shape}"
             )
-        if not np.isin(cells, (0, 1)).all():
-            raise ValueError("cells must be binary")
+        # checked before the casts, which would wrap 257 to 1 and read 0.5 as 0 or True
+        for name, values in (("cells", cells), ("observed_mask", mask)):
+            if not np.isin(values, (0, 1)).all():
+                raise ValueError(f"{name} must be binary")
+        cells, mask = cells.astype(np.int8), mask.astype(bool)
         cells.setflags(write=False)
         mask.setflags(write=False)
-        test = tuple((int(r), int(c)) for r, c in self.test_cells)
+        test = tuple((index(r), index(c)) for r, c in self.test_cells)
         seen = set()
         for r, c in test:
             if not (0 <= r < n and 0 <= c < n):
@@ -180,8 +187,8 @@ class Partition:
     counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        z = _frozen_array(self.assignments, np.int64)
-        if z.ndim != 1 or z.size == 0:
+        z = _frozen_array(_as_assignments(self.assignments), np.int64)
+        if z.size == 0:
             raise DimensionError("assignments must be a non-empty 1-d vector")
         if z.min() < 0:
             raise DimensionError("class labels must be nonnegative")
@@ -358,7 +365,7 @@ class PosteriorSamples:
         """Every draw's (row class, column class) at each (row, col) cell, as
         two (draws x cells) arrays; the cells are range-checked."""
         n = self.partitions.shape[1]
-        cells = [(int(r), int(c)) for r, c in cells]
+        cells = [(index(r), index(c)) for r, c in cells]
         rows = np.asarray([r for r, _ in cells], dtype=np.int64)
         cols = np.asarray([c for _, c in cells], dtype=np.int64)
         outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
@@ -380,9 +387,7 @@ def pair_counts(data: RelationData, assignments, n_classes: int):
     class-b columns; labelings stacked along leading axes keep those axes.
     Every entry is a sum of small integers, so the matmuls are exact.
     """
-    if isinstance(assignments, Partition):
-        assignments = assignments.assignments
-    z = np.asarray(assignments, dtype=np.int64)
+    z = _as_assignments(assignments, ndim=None)
     _check_assignments(data, z, n_classes)
     onehot = (z[..., None, :, None] == np.arange(n_classes)).astype(np.float64)
     return onehot.swapaxes(-1, -2) @ data.observed_link_matrices @ onehot

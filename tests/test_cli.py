@@ -246,6 +246,9 @@ def test_config_from_sources_layering():
     assert config.models == ("irm",)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_sources({"no_such_setting": 1}, None)
+    # emit_timing is not a setting: the results CSV has one format
+    with pytest.raises(ConfigError, match="unknown config file setting 'emit_timing'"):
+        ExperimentConfig.from_sources({"emit_timing": True})
 
 
 def test_config_coerces_sequences():
@@ -332,18 +335,14 @@ def test_results_csv_round_trip():
     assert text.splitlines()[0].startswith("target_system,model,n_stored")
     assert parse_results_csv(text) == rows
 
-    timed = [
-        rows[0].__class__(**{**rows[0].__dict__, "wall_seconds": 1.25}),
-        rows[1],
-    ]
-    text2 = emit_results_csv(timed, include_timing=True)
-    back = parse_results_csv(text2)
-    assert back[0].wall_seconds == 1.25
-
 
 def test_results_csv_rejects_foreign_header():
-    with pytest.raises(ValueError):
-        parse_results_csv("alpha,beta\n1,2\n")
+    # a header with a last wall_seconds column is foreign too: the results
+    # CSV has one format
+    head, row = emit_results_csv(sample_rows()[:1]).splitlines()
+    for text in ("alpha,beta\n1,2\n", f"{head},wall_seconds\n{row},1.25\n"):
+        with pytest.raises(ValueError, match="unrecognized results CSV header"):
+            parse_results_csv(text)
 
 
 def test_results_csv_skips_blank_lines_and_refuses_short_ones():
@@ -1081,6 +1080,18 @@ def test_cli_experiment_rejects_bad_workers_and_setting_types(tmp_path, capsys):
         assert main(base + ["--config", str(config_path), "--tau-mode", mode]) == 2
         assert capsys.readouterr().err.startswith("error: tau_upper: 10**400.0 ")
         assert not out.exists()
+
+
+def test_cli_experiment_refuses_emit_timing(tmp_path, capsys):
+    # argparse exits 2 on a flag it does not know
+    out = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as caught:
+        main(["experiment", "--targets", "1", "--models", "irm", "--entities", "6",
+              "--fractions", "0.5", "--burn-in", "1", "--retained", "1",
+              "--thinning", "1", "--out", str(out), "--emit-timing"])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --emit-timing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_experiment_verbose_reports_rows(tmp_path, capsys, monkeypatch):

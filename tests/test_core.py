@@ -20,6 +20,7 @@ from relgen import (
     canonical_labels,
     clamp_probs,
     collapsed_loglik,
+    crp_log_prior,
     pair_counts,
     predictive_prob,
 )
@@ -384,6 +385,15 @@ def test_labels_enter_by_one_rule():
 
 
 _LINK = np.array([[0.5, 0.2], [0.8, 0.5]])
+_EYE = np.eye(2, dtype=np.int8)
+_UNOBSERVED = np.zeros((2, 2), dtype=bool)
+
+
+def _mask_with(value):
+    """A 2 x 2 observed mask holding ``value`` at (0, 1)."""
+    mask = np.zeros((2, 2))
+    mask[0, 1] = value
+    return mask
 
 
 @pytest.mark.parametrize(
@@ -399,6 +409,22 @@ _LINK = np.array([[0.5, 0.2], [0.8, 0.5]])
         (lambda d: collapsed_loglik(d, [0, 1, 0], 0.0), ValueError),
         (lambda d: collapsed_loglik(d, [0, 1, 0], -1.0), ValueError),
         (lambda d: predictive_prob(np.zeros(0), np.zeros(0)), ValueError),
+        # values are checked before a cast could wrap, truncate or read them as true
+        (lambda d: RelationData(2, np.array([[257, 0], [0, 1]]), _UNOBSERVED), ValueError),
+        (lambda d: RelationData(2, np.array([[-255, 0], [0, 1]]), _UNOBSERVED), ValueError),
+        (lambda d: RelationData(2, np.array([[1.0, 0.5], [0.0, 1.0]]), _UNOBSERVED), ValueError),
+        (lambda d: RelationData(2, _EYE, _mask_with(0.5)), ValueError),
+        (lambda d: RelationData(2, _EYE, _mask_with(2.0)), ValueError),
+        (lambda d: RelationData(2, _EYE, _mask_with(-1)), ValueError),
+        (lambda d: RelationData(2, _EYE, _UNOBSERVED, ((1.7, 0.2),)), TypeError),
+        (lambda d: PosteriorSamples([[0, 1]], [-1.0], "irm").cell_classes([(0.9, 1.2)]),
+         TypeError),
+        (lambda d: canonical_labels([0.9, 1.5]), TypeError),
+        (lambda d: collapsed_loglik(d, [0.9, 1.5, 0], 1.0), TypeError),
+        (lambda d: crp_log_prior([0.2, 0.7], 1.0), TypeError),
+        (lambda d: Partition([0.0, 1.9]), TypeError),
+        (lambda d: pair_counts(d, [0.5, 1.5, 0], 2), TypeError),
+        (lambda d: canonical_labels([True, False]), TypeError),
     ],
     ids=[
         "2-d labels",
@@ -411,9 +437,36 @@ _LINK = np.array([[0.5, 0.2], [0.8, 0.5]])
         "alpha zero",
         "alpha negative",
         "no components",
+        "cell 257",
+        "cell -255",
+        "cell 0.5",
+        "mask 0.5",
+        "mask 2.0",
+        "mask -1",
+        "float test cell",
+        "float drawn cell",
+        "float labels to canonical_labels",
+        "float labels to collapsed_loglik",
+        "float labels to crp_log_prior",
+        "float labels to Partition",
+        "float labels to pair_counts",
+        "bool labels",
     ],
 )
 def test_core_refuses_malformed_input(call, error):
     with pytest.raises(error) as caught:
         call(random_data(np.random.default_rng(7), 3))
     assert type(caught.value) is error
+
+
+
+def test_binary_values_pass_as_floats_or_bools():
+    data = RelationData(
+        2,
+        np.array([[1.0, 0.0], [0.0, True]]),
+        np.array([[1.0, 0.0], [True, False]]),
+        ((np.int64(0), True),),
+    )
+    assert data.cells.dtype == np.int8 and data.cells.tolist() == [[1, 0], [0, 1]]
+    assert data.observed_mask.tolist() == [[True, False], [True, False]]
+    assert data.test_cells == ((0, 1),) and type(data.test_cells[0][1]) is int

@@ -175,17 +175,6 @@ def test_results_csv_matches_golden(tau_mode):
 def test_results_csv_golden_round_trips(tau_mode):
     text = _golden(f"results-{tau_mode}.csv")
     assert emit_results_csv(parse_results_csv(text)) == text
-    if tau_mode == "per-cell":
-        # with the timing column: a value on every line but the last, which
-        # is blank
-        lines = text.splitlines()
-        timed = [lines[0] + ",wall_seconds"]
-        timed += [f"{line},{0.125 * i!r}" for i, line in enumerate(lines[1:-1], 1)]
-        timed.append(lines[-1] + ",")
-        timed_text = "\n".join(timed) + "\n"
-        rows = parse_results_csv(timed_text)
-        assert rows[0].wall_seconds == 0.125 and rows[-1].wall_seconds is None
-        assert emit_results_csv(rows, include_timing=True) == timed_text
 
 
 def test_summary_matches_golden():
