@@ -356,8 +356,11 @@ def stored_component_predictions(
 
     Averages the system's link probability at the cell's class pair over the
     retained assignment draws.  Unclamped; mixing and clamping happen in
-    ``predictive_prob``.
+    ``predictive_prob``.  A draw label beyond the system's classes is refused.
     """
+    top = int(samples.partitions.max(initial=0))
+    if top >= system.n_classes:
+        raise DimensionError(f"draw label {top} out of range for {system.n_classes} classes")
     return samples.mean_over_draws(system.link_probs[samples.cell_classes(cells)])
 
 

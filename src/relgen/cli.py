@@ -488,12 +488,9 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
     """Run the rows of one (target, fraction) cell from one set of chains.
 
     Returns one (ResultRow, hybrid payload or None) per row of `_cell_rows`,
-    in order.  Hybrid rows are fitted unscored, then scored by `_scored_rows`:
-    here under the per-cell and validation-split tau modes, each at its own
-    tau (a cell holds one hybrid row per K), or, under the global mode, once
-    every cell has run, so they come back with their payloads.  A row that
-    raises is recorded with an error marker and the cell's other rows still
-    complete.
+    in order, each hybrid row unscored with its payload, whatever the tau
+    mode: `run_experiment` scores it.  A row that raises is recorded with an
+    error marker and the cell's other rows still complete.
     """
     target = systems[target_index]
     seed = derive_seed(config.master_seed, "cell", target.name, fraction_index)
@@ -502,7 +499,14 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
         validation_seed = derive_seed(
             config.master_seed, "validation", target.name, fraction_index
         )
-    cell = None
+    cell = _Cell(
+        _split_data(config, target, fraction_index),
+        _pool_for(config, systems, target_index),
+        config.stored_counts,
+        McmcSchedule(config.burn_in, config.n_retained, config.thinning),
+        seed,
+        validation_seed,
+    )
     out = []
     for model, k in _cell_rows(config):
         fields = dict(
@@ -511,27 +515,17 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
             n_stored=k,
             observed_fraction=config.observed_fractions[fraction_index],
             seed=seed,
+            n_test=len(cell.data.test_cells),
         )
         payload = None
         try:
-            if cell is None:
-                cell = _Cell(
-                    _split_data(config, target, fraction_index),
-                    _pool_for(config, systems, target_index),
-                    config.stored_counts,
-                    McmcSchedule(config.burn_in, config.n_retained, config.thinning),
-                    seed,
-                    validation_seed,
-                )
             bits, _, payload = cell.fit(model, k)
-            fields.update(n_test=len(cell.data.test_cells), **bits)
+            fields.update(bits)
         except Exception as exc:  # noqa: BLE001 - a row failure must not kill the run
             fields.update(_error_fields(exc))
         payload = payload if model == "hybrid" else None  # drop an analogy row's report
         out.append((ResultRow(**fields), payload))
-    if config.tau_mode == "global":
-        return out
-    return [(row, None) for row in _scored_rows(out, (config.tau_lower, config.tau_upper))]
+    return out
 
 
 # (config, systems) of the grid a worker process serves; set by the pool's
@@ -578,10 +572,12 @@ def run_experiment(
 
     The (target, fraction) cell is the unit of work: its chains run once and
     all of its rows are cut from them (see `_Cell`); the chains are dropped
-    when the cell's rows are built.  A row that raises is recorded with an
-    error marker and the run continues.  Output is independent of
-    ``workers``, which run whole cells; pass ``progress`` (a callable taking
-    done and total row counts) for coarse status reporting.  Raises
+    when the cell's rows are built.  Hybrid rows are scored here only: each
+    cell's as it comes back, or under global tau mode all of them at the end.
+    A row that raises is recorded with an error marker and the run continues.
+    Output is independent of ``workers``, which run whole cells; pass
+    ``progress`` (a callable taking done and total row counts) for coarse
+    status reporting.  Raises
     ConfigError, before any cell runs, when ``systems`` holds fewer than
     ``config.n_target_systems`` systems or two systems of one name.
     """
@@ -602,10 +598,13 @@ def run_experiment(
         for f_idx in range(len(config.observed_fractions))
     ]
     total = len(cells) * len(_cell_rows(config))
+    bounds = (config.tau_lower, config.tau_upper)
     results: list[tuple[ResultRow, _HybridPayload | None]] = []
 
     def collect(outs):
         for out in outs:
+            if config.tau_mode != "global":
+                out = [(row, None) for row in _scored_rows(out, bounds)]
             results.extend(out)
             if progress:
                 progress(len(results), total)
@@ -615,7 +614,7 @@ def run_experiment(
         # (target, fraction) indices.  A forking pool starts all its workers on
         # the first task, so it starts no more than there are cells.
         with ProcessPoolExecutor(
-            max_workers=max(1, min(workers, len(cells))),
+            max_workers=min(workers, len(cells)),
             initializer=_init_worker,
             initargs=(config, systems),
         ) as pool:
@@ -623,7 +622,7 @@ def run_experiment(
     else:
         collect(_execute_cell(config, systems, *cell) for cell in cells)
 
-    return _scored_rows(results, (config.tau_lower, config.tau_upper))
+    return _scored_rows(results, bounds)
 
 
 # ---------------------------------------------------------------------------

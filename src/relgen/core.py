@@ -320,9 +320,11 @@ class PosteriorSamples:
     """Retained MCMC draws: one assignment vector and log-likelihood each.
 
     ``partitions`` is one read-only (draws x n) int64 array, row q being
-    draw q's class label per entity.  For the nonparametric model the rows
-    are canonical partitions and ``alphas`` records the Beta concentration
-    alongside each draw (the collapsed predictive rule needs it).  For
+    draw q's class label per entity; the draws enter by the one label rule
+    (`_as_assignments`), and a negative label is refused.  For the
+    nonparametric model the rows are canonical partitions and ``alphas``
+    records the Beta concentration alongside each draw (the collapsed
+    predictive rule needs it), each positive and finite.  For
     stored-system chains the rows index into the system's fixed class space
     and classes may be empty.  ``log_evidence``, the chain's log marginal
     likelihood, is `harmonic_mean_evidence` of ``logliks``, derived once.
@@ -339,11 +341,13 @@ class PosteriorSamples:
         if len(self.partitions) == 0:
             raise ValueError("need at least one retained draw")
         try:
-            parts = _frozen_array(self.partitions, np.int64)
-        except ValueError:  # numpy's error for ragged draws
-            parts = None
-        if parts is None or parts.ndim != 2:
-            raise DimensionError("every draw must be a 1-d assignment vector of one length")
+            parts = _frozen_array(_as_assignments(self.partitions, ndim=2), np.int64)
+        except ValueError:  # numpy's error for ragged draws, or draws not 2-d
+            raise DimensionError(
+                "every draw must be a 1-d assignment vector of one length"
+            ) from None
+        if (parts < 0).any():
+            raise DimensionError(f"class label out of range: min {int(parts.min())}")
         if logliks.shape != (len(parts),):
             raise DimensionError("one log-likelihood per draw required")
         if not np.isfinite(logliks).all():
@@ -355,6 +359,8 @@ class PosteriorSamples:
             alphas = _frozen_array(self.alphas, np.float64)
             if alphas.shape != (len(parts),):
                 raise DimensionError("one alpha per draw required")
+            if not (np.isfinite(alphas) & (alphas > 0)).all():
+                raise ValueError("alpha draws must be positive and finite")
             object.__setattr__(self, "alphas", alphas)
 
     @property

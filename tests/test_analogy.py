@@ -739,8 +739,18 @@ def test_generator_recovery_single_trial():
             lambda pool, chains: analogy_predict_cells(chains, pool, [1.0], [(0, 0)]),
             DimensionError,
         ),
+        # was a bare IndexError
+        (
+            lambda pool, chains: stored_component_predictions(
+                PosteriorSamples([[0, 2, 1]], [-1.0], "stored:a"), pool[0], [(0, 1)]
+            ),
+            DimensionError,
+        ),
     ],
-    ids=["no evidences", "prior shape", "empty pool", "one chain short", "weights short"],
+    ids=[
+        "no evidences", "prior shape", "empty pool", "one chain short", "weights short",
+        "draw label beyond the system",
+    ],
 )
 def test_analogy_refuses_malformed_input(call, error):
     pool = [two_class_system("a"), two_class_system("b")]

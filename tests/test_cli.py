@@ -765,6 +765,29 @@ def test_failed_tau_search_errors_only_its_row(tau_mode, monkeypatch):
     assert sum(r.model == "hybrid" and r.score is not None for r in rows) == 4 - len(errored)
 
 
+@pytest.mark.parametrize("tau_mode", VALID_TAU_MODES)
+def test_cell_returns_hybrid_rows_unscored_with_their_payloads(tau_mode):
+    # a cell scores nothing, whatever the tau mode: its hybrid rows come back
+    # with the payloads that run_experiment, the one scorer, chooses tau from
+    from relgen.cli import _HybridPayload, _execute_cell, _scored_rows
+
+    config = tiny_config(
+        n_target_systems=1, observed_fractions=(0.5,), stored_counts=(1, 2), tau_mode=tau_mode
+    )
+    systems = materialize_systems(tiny_config())
+    out = _execute_cell(config, systems, 0, 0)
+    assert [(row.model, row.n_stored) for row, _ in out] == _cell_rows(config)
+    for row, payload in out:
+        assert row.status == "ok" and row.n_test > 0
+        if row.model == "hybrid":
+            assert row.score is None and row.tau_star is None and row.weights == ()
+            assert isinstance(payload, _HybridPayload) and len(payload.names) == row.n_stored
+        else:
+            assert row.score is not None and payload is None
+    bounds = (config.tau_lower, config.tau_upper)
+    assert _scored_rows(out, bounds) == run_experiment(config, systems)
+
+
 # the spans the benchmark's tracer records from calls made inside the grid
 GRID_SPANS = {
     "irm.chain", "analogy.chain", "irm.predict", "analogy.predict", "analogy.report",

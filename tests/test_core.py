@@ -425,6 +425,15 @@ def _mask_with(value):
         (lambda d: Partition([0.0, 1.9]), TypeError),
         (lambda d: pair_counts(d, [0.5, 1.5, 0], 2), TypeError),
         (lambda d: canonical_labels([True, False]), TypeError),
+        # draws were truncated, and a label -1 read as a stored system's last class
+        (lambda d: PosteriorSamples([[0.5, 1.7]], [-1.0], "irm"), TypeError),
+        (lambda d: PosteriorSamples([[True, False]], [-1.0], "irm"), TypeError),
+        (lambda d: PosteriorSamples([[-1, 0]], [-1.0], "irm"), DimensionError),
+        # theory predictions read these alphas as NaN, or -1 as a silent 0.5
+        (lambda d: PosteriorSamples([[0, 1]], [-1.0], "irm", alphas=[0.0]), ValueError),
+        (lambda d: PosteriorSamples([[0, 1]], [-1.0], "irm", alphas=[np.inf]), ValueError),
+        (lambda d: PosteriorSamples([[0, 1]], [-1.0], "irm", alphas=[np.nan]), ValueError),
+        (lambda d: PosteriorSamples([[0, 1]], [-1.0], "irm", alphas=[-1.0]), ValueError),
     ],
     ids=[
         "2-d labels",
@@ -451,6 +460,13 @@ def _mask_with(value):
         "float labels to Partition",
         "float labels to pair_counts",
         "bool labels",
+        "float draws",
+        "bool draws",
+        "negative draw label",
+        "draw alpha 0",
+        "draw alpha inf",
+        "draw alpha nan",
+        "draw alpha -1",
     ],
 )
 def test_core_refuses_malformed_input(call, error):
