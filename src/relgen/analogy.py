@@ -80,44 +80,49 @@ def _move_entity(D, dG, i: int, a, b) -> np.ndarray:
 CERTIFY_MARGIN = 1e-9
 
 
-def _stay_screen(labels, uniforms, m: int):
-    """The screen of one sweep's entities, at these labels and uniforms.
+def _stay_screen(n: int, m: int):
+    """The screen of a chain's n entities over m classes, built once per chain.
 
-    It maps the n x m table of log conditionals to which entities the exact
-    draw is sure to leave in their class.  On a class-major copy of the
-    table, so that its reductions run along contiguous rows, it takes each
-    entity's running sums of exp(logw - max) in class order: the arithmetic
-    of `_sample_logweights` up to the last bit of each ``exp``.  An entity
-    is certified when u times its total lies more than ``CERTIFY_MARGIN`` of
-    the total inside its class's interval of the running sums, a margin far
-    wider than that rounding, so the exact draw returns its class.  A class
-    of zero weight is never certified.
+    Called with one sweep's labels and uniforms, it returns a map from the
+    n x m table of log conditionals to which entities the exact draw is sure
+    to leave in their class.  On a class-major copy of the table, in a buffer
+    that lives as long as the screen, so that its reductions run along
+    contiguous rows, it takes each entity's running sums of exp(logw - max)
+    in class order: the arithmetic of `_sample_logweights` up to the last bit
+    of each ``exp``.  An entity is certified when u times its total lies more
+    than ``CERTIFY_MARGIN`` of the total inside its class's interval of the
+    running sums, a margin far wider than that rounding, so the exact draw
+    returns its class.  A class of zero weight is never certified.
     """
-    n = labels.size
     C = np.zeros((m + 1, n))
     W = C[1:]
-    # at these flat indices C holds each entity's running sum before its
-    # class, and W (C without its zero row) the sum through it
-    lo = labels * n + np.arange(n)
-    below, above = uniforms - CERTIFY_MARGIN, uniforms + CERTIFY_MARGIN
+    entities = np.arange(n)
 
-    def certified(L) -> np.ndarray:
-        W[...] = L.T
-        np.subtract(W, np.maximum.reduce(W), out=W)
-        np.exp(W, out=W)
-        np.add.accumulate(W, out=W)
-        total = C[m]
-        return (C.take(lo) < below * total) & (W.take(lo) > above * total)
+    def sweep_screen(labels, uniforms):
+        # at these flat indices C holds each entity's running sum before its
+        # class, and W (C without its zero row) the sum through it
+        lo = labels * n + entities
+        below, above = uniforms - CERTIFY_MARGIN, uniforms + CERTIFY_MARGIN
 
-    return certified
+        def certified(L) -> np.ndarray:
+            W[...] = L.T
+            np.subtract(W, np.maximum.reduce(W), out=W)
+            np.exp(W, out=W)
+            np.add.accumulate(W, out=W)
+            total = C[m]
+            return (C.take(lo) < below * total) & (W.take(lo) > above * total)
+
+        return certified
+
+    return sweep_screen
 
 
-def _sweep_stored(z, tables, rng=None, screen=True):
+def _sweep_stored(z, tables, rng=None, screen=None):
     """Reassign every entity in index order, in place.
 
     With ``rng``, each entity is Gibbs-drawn from its conditional, and the
-    number of entities that moved is returned.  A ``screen``ed sweep draws
-    only the entities `_stay_screen` cannot certify: the others would stay
+    number of entities that moved is returned.  A sweep given a `_stay_screen`
+    draws only the entities it cannot certify: the others would stay
     under the exact draw, so they keep their class, and a move screens the
     entities after it again.  Without ``rng``, each entity takes the
     conditional's first maximum (the greedy init's sweep) of each labeling
@@ -140,7 +145,7 @@ def _sweep_stored(z, tables, rng=None, screen=True):
     uniforms = rng.random(n)
     u = uniforms.tolist()
     if screen:
-        certified = _stay_screen(z, uniforms, B.shape[1])
+        certified = screen(z, uniforms)
     moves = start = 0
     while start < n:
         rest = range(start, n)
@@ -176,7 +181,7 @@ def gibbs_sweep_stored(
     """
     z = np.array(_as_assignments(assignments))
     _check_assignments(data, z, system.n_classes)
-    _sweep_stored(z, _sweep_tables(data, system), rng)
+    _sweep_stored(z, _sweep_tables(data, system), rng, _stay_screen(z.size, system.n_classes))
     return z
 
 
@@ -193,6 +198,15 @@ def sample_stored_assignments(
     return np.minimum(z, last_live).astype(np.int64)
 
 
+def _swap_perms(m: int, a, b) -> np.ndarray:
+    """Each class swap a[p] <-> b[p] as a permutation of the m classes."""
+    perms = np.arange(m)[None].repeat(a.size, 0)
+    rows = np.arange(a.size)
+    perms[rows, a] = b
+    perms[rows, b] = a
+    return perms
+
+
 def _swap_moves(counts, sizes, ll, tables, a, b):
     """Score the class swaps a[p] <-> b[p] from the stacked class-pair link
     and non-link counts, whose rows and columns a swap permutes.
@@ -203,10 +217,7 @@ def _swap_moves(counts, sizes, ll, tables, a, b):
     ``sizes`` (… x m) and ``ll`` (… x 1) are scored against every swap.
     """
     log_prior, log_tables = tables[3:5]
-    perms = np.arange(sizes.shape[-1])[None].repeat(a.size, 0)
-    rows = np.arange(a.size)
-    perms[rows, a] = b
-    perms[rows, b] = a
+    perms = _swap_perms(sizes.shape[-1], a, b)
     # C order keeps each m x m sum contiguous, as it is for one state
     swapped = np.ascontiguousarray(counts[..., perms[:, :, None], perms[:, None, :]])
     new_ll = _loglik_from_counts(*swapped, log_tables)
@@ -214,31 +225,45 @@ def _swap_moves(counts, sizes, ll, tables, a, b):
     return perms, new_ll, new_ll - ll + prior_delta
 
 
-def _class_swap_move(z, counts, ll: float, tables, live, rng) -> tuple[np.ndarray, float]:
+def _swap_table(log_prior, live) -> dict:
+    """The chain's class swaps, built once per chain: for each ordered pair
+    (a, b) of live classes, the swap's permutation, the (2 x m x m) flat
+    indices that gather the stacked class-pair counts it permutes in C order,
+    as `_swap_moves` gathers them, and the prior gap log p_b - log p_a."""
+    m = log_prior.size
+    pairs = live[np.array(np.triu_indices(live.size, 1))]
+    perms = _swap_perms(m, *pairs)
+    rows = np.arange(2)[:, None, None] * m + perms[:, None, :, None]
+    gathers = rows * m + perms[:, None, None, :]
+    table = {}
+    for (a, b), perm, gather in zip(pairs.T.tolist(), perms, gathers):
+        table[a, b] = perm, gather, float(log_prior[b] - log_prior[a])
+        table[b, a] = perm, gather, float(log_prior[a] - log_prior[b])
+    return table
+
+
+def _class_swap_move(z, counts, ll: float, tables, live, swaps, rng) -> tuple[np.ndarray, float]:
     """Metropolis move exchanging two class identities wholesale.
 
     Single-entity updates cannot cross between assignment modes that differ
     by a relabeling of classes — with sharp link probabilities every
     intermediate state is a likelihood cliff.  Swapping the entities of two
     classes in one proposal jumps the cliff directly; the acceptance ratio
-    needs only the permuted counts, gathered in C order as `_swap_moves`
-    gathers them, and the class-count prior delta.  A swap of two empty
-    classes is no move and draws no uniform.
+    needs only the permuted counts, one gather through the chain's
+    `_swap_table`, and the class-count prior delta, in Python floats.  A swap
+    of two empty classes is no move and draws no uniform.
     """
     if live.size < 2:
         return z, ll
-    a, b = live[rng.permutation(live.size)[:2]]
-    log_prior, log_tables = tables[3:5]
-    sizes = np.bincount(z, minlength=log_prior.size)
+    a, b = live[rng.permutation(live.size)[:2]].tolist()
+    sizes = np.bincount(z, minlength=counts.shape[-1]).tolist()
     if not (sizes[a] or sizes[b]):
         return z, ll
-    perm = np.arange(log_prior.size)
-    perm[[a, b]] = b, a
-    swapped = np.ascontiguousarray(counts[:, perm[:, None], perm])
-    new_ll = _loglik_from_counts(*swapped, log_tables)
-    log_ratio = new_ll - ll + (sizes[a] - sizes[b]) * (log_prior[b] - log_prior[a])
+    perm, gather, gap = swaps[a, b]
+    new_ll = float(_loglik_from_counts(*counts.take(gather), tables[4]))
+    log_ratio = new_ll - ll + (sizes[a] - sizes[b]) * gap
     if log_ratio >= 0 or rng.random() < np.exp(log_ratio):
-        return perm[z], float(new_ll)
+        return perm[z], new_ll
     return z, ll
 
 
@@ -308,16 +333,18 @@ def run_stored_chain(
     live = np.flatnonzero(system.class_probs > 0.0)
     candidates, joints = _greedy_candidates(data, system, tables, live, rng)
     z = candidates[np.argmax(joints)]
+    screen = _stay_screen(data.n_entities, system.n_classes)
+    swaps = _swap_table(tables[3], live)
     retained, moves = [], data.n_entities
     for sweep in range(schedule.total_sweeps):
         # each move costs a re-screen, so a screen pays only in a sweep
         # moving fewer than about n/10 entities, as the previous sweep's
         # moves predict; the first sweep has no such predictor, so no screen
-        moves = _sweep_stored(z, tables, rng, 12 * moves < data.n_entities)
+        moves = _sweep_stored(z, tables, rng, screen if 12 * moves < data.n_entities else None)
         onehot = eye[z]  # not pair_counts: its checks and one-hot take twice as long
         counts = onehot.T @ observed @ onehot
         ll = float(_loglik_from_counts(*counts, tables[4]))
-        z, ll = _class_swap_move(z, counts, ll, tables, live, rng)
+        z, ll = _class_swap_move(z, counts, ll, tables, live, swaps, rng)
         if sweep in schedule.retained_sweeps:
             retained.append((z.copy(), ll))
     draws, logliks = zip(*retained)

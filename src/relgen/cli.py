@@ -256,8 +256,9 @@ class ResultRow:
 def evaluate(predictions, truths) -> float:
     """Held-out score: negative sum of log predictive probabilities.
 
-    Truths are 0/1; predictions are clamped before the logs, so the score is
-    finite and nonnegative.  An empty test set scores 0.
+    Truths are 0/1 and predictions finite; predictions are clamped before
+    the logs, so the score is finite and nonnegative.  An empty test set
+    scores 0.
     """
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(truths)
@@ -270,6 +271,8 @@ def evaluate(predictions, truths) -> float:
         return 0.0
     if not ((t == 0) | (t == 1)).all():
         raise ValueError("truths must be 0/1")
+    if not np.isfinite(p).all():
+        raise ValueError("predictions must be finite")
     p = clamp_probs(p)
     return float(-np.sum(np.where(t == 1, np.log(p), np.log1p(-p))))
 

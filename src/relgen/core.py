@@ -465,10 +465,13 @@ def predictive_prob(component_probs, weights):
     ``component_probs`` is one cell's K-vector, giving a float, or a
     (cells x K) array, giving one probability per row, from one matrix
     product.  Components with exactly zero weight are dropped before mixing,
-    so a zero-weight component never perturbs the result.
+    so a zero-weight component never perturbs the result.  NaN weights are
+    refused.  When every weight is positive, ``p`` is mixed whole, in the
+    layout the dropping gather would give it (column-major for cells x K),
+    so the result has the same bits either way.
     """
     p = np.asarray(component_probs, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64, order="C")
     if w.ndim != 1 or p.ndim not in (1, 2) or p.shape[-1] != w.size:
         raise DimensionError(
             f"components must be 1-d or 2-d with one column per weight, "
@@ -476,10 +479,14 @@ def predictive_prob(component_probs, weights):
         )
     if w.size == 0:
         raise ValueError("need at least one component")
-    if (w < 0).any() or abs(w.sum() - 1.0) > 1e-6:
+    lo = w.min()
+    if not (lo >= 0.0 and abs(w.sum() - 1.0) <= 1e-6):
         raise ValueError("weights must be nonnegative and sum to 1")
-    live = w > 0.0
-    mixed = p[..., live] @ w[live]
+    if lo > 0.0:
+        mixed = np.asarray(p, order="F") @ w
+    else:
+        live = w > 0.0
+        mixed = p[..., live] @ w[live]
     if p.ndim == 2:
         return clamp_probs(mixed)
     # np.clip's result, without its cost on a 0-d value; NaN passes through

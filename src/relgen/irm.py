@@ -30,6 +30,7 @@ from .core import (
     PosteriorSamples,
     RelationData,
     _collapsed_from_counts,
+    _misfit,
     canonical_labels,
     clamp_probs,
     pair_counts,
@@ -56,8 +57,13 @@ class McmcSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.burn_in < 0:
-            raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
+        for name in ("burn_in", "n_retained", "thinning", "seed"):
+            if (why := _misfit(getattr(self, name), int)) is not None:
+                raise ConfigError(f"{name} must be {why}")
+        if self.burn_in < 0 or self.seed < 0:
+            raise ConfigError(
+                f"burn_in and seed must be >= 0 (got {self.burn_in} and {self.seed})"
+            )
         if self.n_retained < 1 or self.thinning < 1:
             raise ConfigError(
                 "retained draw count and thinning must both be >= 1 "

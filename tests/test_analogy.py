@@ -229,7 +229,7 @@ def test_certificate_implies_exact_draw():
                     uniforms += [u] * m
         table, labels, uniforms = np.array(rows), np.array(labels), np.array(uniforms)
         n = labels.size
-        sure = _stay_screen(labels, uniforms, m)(table)
+        sure = _stay_screen(n, m)(labels, uniforms)(table)
         weights = np.exp(table - table.max(1, keepdims=True))[np.arange(n), labels]
         assert not sure[weights == 0.0].any()
         inside = 0
@@ -296,7 +296,7 @@ def test_chain_starts_from_first_best_candidate(monkeypatch):
     # the tied candidates differ.
     starts = []
 
-    def recording(z, tables, rng=None, screen=True):
+    def recording(z, tables, rng=None, screen=None):
         if rng is not None and not starts:
             starts.append(z.copy())
         return _sweep_stored(z, tables, rng, screen)
@@ -363,17 +363,22 @@ def test_dense_stored_chain_equals_reference_chain(monkeypatch):
     stay_screen, sweep = analogy._stay_screen, analogy._sweep_stored
 
     def counting(*args):
-        certified = stay_screen(*args)
+        sweep_screen = stay_screen(*args)
 
-        def screen(L):
-            sure = certified(L)
-            screens["calls"] += 1
-            screens["certified"] += int(sure.sum())
-            return sure
+        def per_sweep(*sweep_args):
+            certified = sweep_screen(*sweep_args)
 
-        return screen
+            def screen(L):
+                sure = certified(L)
+                screens["calls"] += 1
+                screens["certified"] += int(sure.sum())
+                return sure
 
-    def recording(z, tables, rng=None, screen=True):
+            return screen
+
+        return per_sweep
+
+    def recording(z, tables, rng=None, screen=None):
         before = screens["calls"]
         moves = sweep(z, tables, rng, screen)
         if rng is not None:

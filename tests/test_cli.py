@@ -119,6 +119,12 @@ def test_evaluate_validation():
     assert evaluate(p, np.array([True, False])) == evaluate(p, np.array([1, 0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_refuses_non_finite_predictions(bad):
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(np.array([bad, 0.5]), np.array([1, 0]))
+
+
 # -------------------------------------------------------------------- config
 
 def test_config_defaults_are_valid():

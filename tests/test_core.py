@@ -333,6 +333,32 @@ def test_one_cell_clamp_matches_np_clip_bit_for_bit():
         assert struct.pack("<d", predictive_prob(comps, w)) == struct.pack("<d", want)
 
 
+@pytest.mark.parametrize("layout", ["1-d", "1-d strided", "C", "F", "2-d strided"])
+def test_all_positive_weights_mix_like_the_dropping_gather(layout):
+    # every weight positive: the mixture skips the zero-weight gather, and
+    # must give the bits that gather's layout gives, for contiguous and
+    # strided weights; a plain p @ w differs on C-order rows
+    rng = np.random.default_rng(14)
+    w = rng.random(6) + 0.01
+    w /= w.sum()
+    comps = rng.random((180, 12))
+    p = {"1-d": comps[0, :6], "1-d strided": comps[0, ::2], "C": comps[:90, :6].copy(),
+         "F": np.asfortranarray(comps[:90, :6]), "2-d strided": comps[::2, ::2]}[layout]
+    live = np.ones(6, dtype=bool)
+    want = p[..., live] @ w[live]
+    want = clamp_probs(want) if p.ndim == 2 else float(np.clip(want, PROB_EPS, 1 - PROB_EPS))
+    strided = np.repeat(w, 2)[::2]
+    for weights in (w, strided):
+        got = predictive_prob(p, weights)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("weights", [[np.nan, np.nan], [0.5, np.nan]])
+def test_predictive_prob_refuses_nan_weights(weights):
+    with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+        predictive_prob(np.array([0.5, 0.5]), np.array(weights))
+
+
 def test_predictive_prob_validation():
     with pytest.raises(DimensionError):
         predictive_prob(np.array([0.5]), np.array([0.5, 0.5]))

@@ -72,6 +72,23 @@ def test_schedule_validation():
         McmcSchedule(burn_in=0, n_retained=1, thinning=0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [dict(burn_in=1.5), dict(n_retained=2.0), dict(thinning=True), dict(burn_in="3"),
+     dict(seed=-1), dict(seed=1.5), dict(seed=None)],
+    ids=["float burn_in", "float n_retained", "bool thinning", "string burn_in",
+         "negative seed", "float seed", "no seed"],
+)
+def test_schedule_takes_integer_counts_and_a_nonnegative_seed(fields):
+    with pytest.raises(ConfigError):
+        McmcSchedule(**{**dict(burn_in=2, n_retained=3, thinning=1, seed=0), **fields})
+
+
+def test_schedule_accepts_numpy_integers():
+    s = McmcSchedule(np.int64(2), np.int32(3), np.int64(1), seed=np.int64(7))
+    assert s.total_sweeps == 5 and list(s.retained_sweeps) == [2, 3, 4]
+
+
 def joint_logweights(data, partition: Partition, entity: int, hp) -> np.ndarray:
     """Collapsed log-likelihood plus CRP log-prior of every candidate state."""
     return np.asarray(
