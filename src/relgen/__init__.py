@@ -51,6 +51,7 @@ from .analogy import (
     analogy_report,
     analogy_weights,
     gibbs_sweep_stored,
+    greedy_starts,
     run_stored_chain,
     sample_stored_assignments,
     stored_component_predictions,

@@ -10,8 +10,10 @@ weights over the pool.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .core import (
     _log_tables,
     _loglik_from_counts,
     _logsumexp,
-    pair_counts,
     predictive_prob,
 )
 from .irm import McmcSchedule, _sample_logweights
@@ -72,8 +73,7 @@ def _stored_table(D, G, B, z) -> np.ndarray:
 
 def _move_entity(D, dG, i: int, a, b) -> np.ndarray:
     """The change to the table when entity i moves from class a to b: one
-    small matmul with the tabulated class difference.  Arrays ``a`` and
-    ``b`` give one change per move, stacked, from one batched matmul."""
+    small matmul with the tabulated class difference."""
     return D[i] @ dG[a, b]
 
 
@@ -117,30 +117,18 @@ def _stay_screen(n: int, m: int):
     return sweep_screen
 
 
-def _sweep_stored(z, tables, rng=None, screen=None):
-    """Reassign every entity in index order, in place.
+def _sweep_stored(z, tables, rng, screen=None):
+    """Gibbs-draw every entity from its conditional in index order, in place,
+    and return the number of entities that moved.
 
-    With ``rng``, each entity is Gibbs-drawn from its conditional, and the
-    number of entities that moved is returned.  A sweep given a `_stay_screen`
-    draws only the entities it cannot certify: the others would stay
-    under the exact draw, so they keep their class, and a move screens the
-    entities after it again.  Without ``rng``, each entity takes the
-    conditional's first maximum (the greedy init's sweep) of each labeling
-    stacked along leading axes of ``z``.  The table is rebuilt once per
-    sweep, since one carried across sweeps drifts in its last bits and could
-    flip an argmax tie, and is touched only when an entity moves; the
-    stacked labelings that move at one entity are updated together.
+    A sweep given a `_stay_screen` draws only the entities it cannot
+    certify: the others would stay under the exact draw, so they keep their
+    class, and a move screens the entities after it again.  The table is
+    rebuilt once per sweep, since one carried across sweeps drifts in its
+    last bits, and is touched only when an entity moves.
     """
     D, G, B, _, _, dG = tables
     L = _stored_table(D, G, B, z)
-    if rng is None:
-        Z, L = z.reshape(-1, z.shape[-1]), L.reshape(-1, *B.shape)
-        for i in range(Z.shape[1]):
-            best = L[:, i].argmax(1)
-            if (rows := (best != Z[:, i]).nonzero()[0]).size:
-                L[rows] += _move_entity(D, dG, i, Z[rows, i], best[rows])
-            Z[:, i] = best
-        return None
     n = len(labels := z.tolist())
     uniforms = rng.random(n)
     u = uniforms.tolist()
@@ -165,6 +153,24 @@ def _sweep_stored(z, tables, rng=None, screen=None):
                     break
     z[:] = labels
     return moves
+
+
+def _argmax_sweep(Z, L, D, dG, owner) -> None:
+    """Give every entity, in index order, its conditional's first maximum,
+    in each labeling of the stack ``Z`` (rows x n) at once, in place.
+
+    ``L`` is the stack's table, its class columns padded at -inf up to the
+    width of ``dG``, which stacks each system's class differences, padded
+    alike; row r belongs to system ``owner[r]``.  A padded column is never
+    a maximum, so each row takes the argmax of its own table.  The rows that
+    move at one entity are updated together, by one batched matmul with
+    each row's system's difference.
+    """
+    for i, now in enumerate(Z.T):
+        best = L[:, i].argmax(1)
+        if (rows := (best != now).nonzero()[0]).size:
+            L[rows] += D[i] @ dG[owner[rows], now[rows], best[rows]]
+        now[:] = best
 
 
 def gibbs_sweep_stored(
@@ -271,48 +277,106 @@ INIT_RESTARTS = 8
 INIT_GREEDY_SWEEPS = 6
 
 
-def _greedy_candidates(data, system, tables, live, rng) -> tuple[np.ndarray, np.ndarray]:
-    """The initialization candidates: prior draws refined by argmax sweeps.
+class GreedyStart(NamedTuple):
+    """A stored chain's start: its refined candidates (R x n), their log
+    joints, and the chain's generator after the candidates' prior draw."""
+
+    candidates: np.ndarray
+    joints: np.ndarray
+    rng: np.random.Generator
+
+
+def _swap_scan(data, Z, tables, pairs) -> np.ndarray:
+    """Take improving class swaps in each labeling of the stack ``Z`` (R x n),
+    in place, and return the labelings' log-likelihoods.
+
+    The live class pairs are tried in (a, b) order: every remaining swap is
+    scored in one batch, the first improving one is taken, and the scan
+    resumes after it; one batch scores every labeling's first scan.
+    """
+    onehot = np.eye(tables[3].size)[Z]  # not pair_counts, as in the chain
+    counts = onehot.swapaxes(1, 2) @ data.observed_link_matrices[:, None] @ onehot
+    lls = _loglik_from_counts(*counts, tables[4])
+    sizes = onehot.sum(1)
+    batch = _swap_moves(counts, sizes, lls[:, None], tables, *pairs)
+    for r in np.flatnonzero((batch[2] > 0).any(1)):
+        # a labeling that takes a swap scans on alone, from after it
+        perms, new_ll, gains = batch[0], batch[1][r], batch[2][r]
+        z, c, s, start = Z[r], counts[:, r], sizes[r], 0
+        while (better := np.flatnonzero(gains > 0)).size:
+            perm = perms[better[0]]
+            z, s, lls[r] = perm[z], s[perm], new_ll[better[0]]
+            c = c[:, perm[:, None], perm]
+            start += int(better[0]) + 1
+            perms, new_ll, gains = _swap_moves(c, s, lls[r], tables, *pairs[:, start:])
+        Z[r] = z
+    return lls
+
+
+def greedy_starts(data: RelationData, systems, schedules) -> list[GreedyStart]:
+    """The stored chains' starts for a pool: prior draws refined by argmax
+    sweeps and improving class swaps, one `GreedyStart` per system.
 
     Iterated conditional modes plus improving class swaps converge to a
-    local optimum of the joint in a handful of sweeps; the caller keeps the
-    best.  The ``INIT_RESTARTS`` draws are refined as one stack.  After each
-    sweep the live class pairs are tried in (a, b) order: every remaining
-    swap is scored in one batch, the first improving one is taken, and the
-    scan resumes after it; one batch scores every candidate's first scan.
-    A sweep is a function of the stack alone and draws nothing, so the
-    sweeps stop once one leaves the stack as it found it.  Returns the
-    (R x n) states and their log joints.
+    local optimum of the joint in a handful of sweeps; the chain starts from
+    the best candidate.  Each system draws its ``INIT_RESTARTS`` candidates
+    from its schedule's generator, which its start keeps for the chain.  The
+    candidates of the whole pool are refined as one stack: per sweep, each
+    system's table is built on its own and padded to the pool's widest class
+    count, every entity takes one argmax and one batched update across the
+    stack, and each system then runs its `_swap_scan`.  A sweep is a
+    function of a system's candidates alone and draws nothing, so a system
+    whose candidates a sweep leaves as it found them drops out of later
+    sweeps.  Each start equals the one a pool of its system alone gives.
     """
-    log_prior, log_tables = tables[3:5]
-    m = system.n_classes
-    pairs = live[np.array(np.triu_indices(live.size, 1))]
-    Z = sample_stored_assignments(system, (INIT_RESTARTS, data.n_entities), rng)
+    pool = list(zip(systems, schedules, strict=True))
+    return _greedy_starts(data, pool, [_sweep_tables(data, s) for s, _ in pool])
+
+
+def _greedy_starts(data, pool, tables) -> list[GreedyStart]:
+    """`greedy_starts` of the (system, schedule) pairs ``pool``, whose
+    `_sweep_tables` are ``tables``."""
+    if not pool:
+        return []
+    n, R = data.n_entities, INIT_RESTARTS
+    rngs = [np.random.default_rng(sched.seed) for _, sched in pool]
+    Zs = [sample_stored_assignments(s, (R, n), rng) for (s, _), rng in zip(pool, rngs)]
+    widths = [s.n_classes for s, _ in pool]
+    M = max(widths)
+    dG = np.zeros((len(pool), M, M, 4, M))
+    for g, t, m in zip(dG, tables, widths):
+        g[:m, :m, :, :m] = t[5]
+    D = tables[0][0]
+    pairs = [live[np.array(np.triu_indices(live.size, 1))]
+             for live in (np.flatnonzero(s.class_probs > 0.0) for s, _ in pool)]
+    lls = [None] * len(pool)
+    active = list(range(len(pool)))
     for _ in range(INIT_GREEDY_SWEEPS):
-        before = Z.copy()
-        _sweep_stored(Z, tables)
-        counts = pair_counts(data, Z, m).swapaxes(0, 1)
-        lls = _loglik_from_counts(*counts, log_tables)
-        sizes = (Z[:, :, None] == np.arange(m)).sum(1)
-        batch = _swap_moves(counts, sizes, lls[:, None], tables, *pairs)
-        for r in np.flatnonzero((batch[2] > 0).any(1)):
-            # a candidate that takes a swap scans on alone, from after it
-            perms, new_ll, gains = batch[0], batch[1][r], batch[2][r]
-            z, c, s, start = Z[r], counts[:, r], sizes[r], 0
-            while (better := np.flatnonzero(gains > 0)).size:
-                perm = perms[better[0]]
-                z, s, lls[r] = perm[z], s[perm], new_ll[better[0]]
-                c = c[:, perm[:, None], perm]
-                start += int(better[0]) + 1
-                perms, new_ll, gains = _swap_moves(c, s, lls[r], tables, *pairs[:, start:])
-            Z[r] = z
-        if np.array_equal(Z, before):
+        Z = np.concatenate([Zs[k] for k in active])
+        L = np.full((Z.shape[0], n, M), -np.inf)
+        for j, k in enumerate(active):
+            L[j * R : (j + 1) * R, :, : widths[k]] = _stored_table(*tables[k][:3], Zs[k])
+        _argmax_sweep(Z, L, D, dG, np.repeat(active, R))
+        moved = []
+        for j, k in enumerate(active):
+            block = Z[j * R : (j + 1) * R]
+            lls[k] = _swap_scan(data, block, tables[k], pairs[k])
+            if not np.array_equal(block, Zs[k]):
+                moved.append(k)
+            Zs[k] = block
+        if not (active := moved):
             break
-    return Z, lls + log_prior[Z].sum(1)
+    return [
+        GreedyStart(z, ll + t[3][z].sum(1), rng)
+        for z, ll, t, rng in zip(Zs, lls, tables, rngs)
+    ]
 
 
 def run_stored_chain(
-    data: RelationData, system: StoredSystem, schedule: McmcSchedule
+    data: RelationData,
+    system: StoredSystem,
+    schedule: McmcSchedule,
+    start: GreedyStart | None = None,
 ) -> PosteriorSamples:
     """Gibbs-sample entity-to-class mappings for one stored system.
 
@@ -320,19 +384,26 @@ def run_stored_chain(
     probabilities stay fixed).  The chain starts from the best of several
     greedily refined prior draws — with sharp link probabilities the
     posterior concentrates on one assignment basin, and a cold start from
-    the prior alone routinely strands the sampler in a side basin.  Each
-    sweep then reassigns every entity from its full conditional and attempts
-    one class-swap Metropolis move, which rescues the chain from relabeled
-    modes that per-entity updates cannot reach.  Retained draws record the
-    Bernoulli log-likelihood of the observed cells, computed from the
-    class-pair counts.  Fully determined by ``schedule.seed``.
+    the prior alone routinely strands the sampler in a side basin.  That
+    start is ``start``, this system's entry of a pool's `greedy_starts`
+    for these schedules, or else one made for this system alone; the chain
+    draws on from a copy of its generator.  Each sweep then reassigns every
+    entity from its full conditional and attempts one class-swap Metropolis
+    move, which rescues the chain from relabeled modes that per-entity
+    updates cannot reach.  Retained draws record the Bernoulli
+    log-likelihood of the observed cells, computed from the class-pair
+    counts.  Fully determined by ``schedule.seed``.
     """
-    rng = np.random.default_rng(schedule.seed)
     tables = _sweep_tables(data, system)
+    if start is None:
+        (start,) = _greedy_starts(data, [(system, schedule)], [tables])
+        rng = start.rng
+    else:
+        rng = np.random.Generator(copy.copy(start.rng.bit_generator))
+    z = np.array(_as_assignments(start.candidates[np.argmax(start.joints)]))
+    _check_assignments(data, z, system.n_classes)
     observed, eye = data.observed_link_matrices, np.eye(system.n_classes)
     live = np.flatnonzero(system.class_probs > 0.0)
-    candidates, joints = _greedy_candidates(data, system, tables, live, rng)
-    z = candidates[np.argmax(joints)]
     screen = _stay_screen(data.n_entities, system.n_classes)
     swaps = _swap_table(tables[3], live)
     retained, moves = [], data.n_entities

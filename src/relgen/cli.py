@@ -46,6 +46,7 @@ from .core import (
 from .analogy import (
     analogy_predict_cells,
     analogy_report,
+    greedy_starts,
     run_stored_chain,
 )
 from .datagen import (
@@ -377,10 +378,12 @@ class _Cell:
     stored system s's from (seed, "stored-chain", s.name), the theory's from
     (seed, "theory-chain").  Pool size K uses the first K systems of
     ``pool``.  The stored chains run together for the largest of ``counts``
-    the pool can serve, and a row passes the first K of
-    them to the library's evidence and prediction functions (the evidence
-    being each chain's own ``log_evidence``, estimated once), so rows of
-    different K are paired; a K beyond the pool fails only its own rows.
+    the pool can serve: one `greedy_starts` call refines the starts of all
+    of them as one stack, then each chain runs from its own start.  A row
+    passes the first K of them to the library's evidence and prediction
+    functions (the evidence being each chain's own ``log_evidence``,
+    estimated once), so rows of different K are paired; a K beyond the pool
+    fails only its own rows.
     Each chain runs on first use, so a cell without irm or hybrid rows runs
     no theory chain.
 
@@ -401,9 +404,12 @@ class _Cell:
     @cached_property
     def stored(self) -> list:
         """The chains of the first n_run pool systems, in pool order."""
+        systems = self.pool[: self.n_run]
+        schedules = [self._seeded("stored-chain", s.name) for s in systems]
+        starts = greedy_starts(self.data, systems, schedules)
         return [
-            run_stored_chain(self.data, s, self._seeded("stored-chain", s.name))
-            for s in self.pool[: self.n_run]
+            run_stored_chain(self.data, *chain)
+            for chain in zip(systems, schedules, starts)
         ]
 
     @cached_property

@@ -23,6 +23,7 @@ from relgen import (
     analogy_report,
     analogy_weights,
     gibbs_sweep_stored,
+    greedy_starts,
     harmonic_mean_evidence,
     pair_counts,
     predictive_prob,
@@ -34,7 +35,7 @@ from relgen import analogy
 from relgen.analogy import (
     INIT_GREEDY_SWEEPS,
     INIT_RESTARTS,
-    _greedy_candidates,
+    _argmax_sweep,
     _move_entity,
     _stay_screen,
     _stored_table,
@@ -125,6 +126,14 @@ def check_table_tracks_oracle(data, system, z, seed, sweeps):
     return moves
 
 
+def argmax_sweep(z, tables):
+    """The greedy init's argmax sweep of one system, in place, over the
+    labelings stacked along leading axes of ``z``."""
+    D, G, B, _, _, dG = tables
+    Z = z.reshape(-1, z.shape[-1])
+    _argmax_sweep(Z, _stored_table(D, G, B, Z), D, dG[None], np.zeros(len(Z), dtype=int))
+
+
 def test_sweep_is_deterministic_and_in_range():
     rng = np.random.default_rng(3)
     data = random_data(rng, 5)
@@ -175,7 +184,7 @@ def test_argmax_sweep_takes_first_maximum():
         want = z.copy()
         for i in range(30):
             want[i] = np.argmax(stored_conditional(data, system, want, i))
-        _sweep_stored(z, _sweep_tables(data, system))
+        argmax_sweep(z, _sweep_tables(data, system))
         assert_array_equal(z, want)
     assert not want.any()  # all-equal conditionals pick class 0
 
@@ -256,9 +265,9 @@ def test_greedy_candidate_matches_nested_swap_scan(monkeypatch):
 
     def counting(*args):
         sweeps.append(1)
-        _sweep_stored(*args)
+        _argmax_sweep(*args)
 
-    monkeypatch.setattr(analogy, "_sweep_stored", counting)
+    monkeypatch.setattr(analogy, "_argmax_sweep", counting)
     rng = np.random.default_rng(31)
     swapped = empty = zero_prior = stopped_early = 0
     for trial in range(60):
@@ -267,9 +276,8 @@ def test_greedy_candidate_matches_nested_swap_scan(monkeypatch):
         system = random_gap_system(rng, m)
         data = self_cell_data(rng, n)
         live = np.flatnonzero(system.class_probs > 0.0)
-        tables = _sweep_tables(data, system)
-        seeded = np.random.default_rng(trial)
-        got, joints = _greedy_candidates(data, system, tables, live, seeded)
+        (start,) = greedy_starts(data, [system], [McmcSchedule(0, 1, 1, seed=trial)])
+        got, joints = start.candidates, start.joints
         assert got.shape == (INIT_RESTARTS, n) and joints.shape == (INIT_RESTARTS,)
         assert 1 <= len(sweeps) <= INIT_GREEDY_SWEEPS
         stopped_early += len(sweeps) < INIT_GREEDY_SWEEPS
@@ -312,16 +320,96 @@ def test_chain_starts_from_first_best_candidate(monkeypatch):
             data = self_cell_data(rng, int(rng.integers(1, 13)))
         else:
             system, data = mirror, pair
-        live = np.flatnonzero(system.class_probs > 0.0)
-        candidates, joints = _greedy_candidates(
-            data, system, _sweep_tables(data, system), live, np.random.default_rng(trial)
-        )
+        (start,) = greedy_starts(data, [system], [McmcSchedule(0, 1, 1, seed=trial)])
+        candidates, joints = start.candidates, start.joints
         best = candidates[joints == joints.max()]
         distinct_ties += (best != best[0]).any()
         starts.clear()
         run_stored_chain(data, system, McmcSchedule(0, 1, 1, seed=trial))
         assert_array_equal(starts[0], best[0])
     assert distinct_ties
+
+
+def random_pool(rng, size):
+    """Random systems of 1-6 classes, some with zero-prior classes, their
+    links rounded to exactly 0 or 1 at random."""
+    pool = []
+    for k in range(size):
+        system = random_gap_system(rng, int(rng.integers(1, 7)))
+        link = system.link_probs
+        link = np.where(rng.random(link.shape) < 0.3, np.round(link), link)
+        pool.append(StoredSystem(f"s{k}", link, system.class_probs))
+    return pool
+
+
+def test_pooled_starts_equal_each_system_alone(monkeypatch):
+    # every member of a pool gets the start, joints and generator state of a
+    # pool of its system alone, bit for bit, and so the same chain.  Pools
+    # mix class counts 1-6 (padded stacks), or hold one class count (stacks
+    # without padding); systems drop out of the sweeps at different times
+    sweeps = []
+
+    def counting(Z, L, D, dG, owner):
+        sweeps.append((np.unique(owner).size, L.shape[-1]))
+        _argmax_sweep(Z, L, D, dG, owner)
+
+    monkeypatch.setattr(analogy, "_argmax_sweep", counting)
+    rng = np.random.default_rng(42)
+    one = StoredSystem("one", [[0.7]], [1.0])
+    fixed = ([gap_system(), edge_system(), tie_system()], [one, gap_system()], [two_class_system()])
+    dropped = padded = same_width = 0
+    for trial in range(24):
+        n = 1 if trial % 4 == 0 else int(rng.integers(2, 20))
+        data = self_cell_data(rng, n)
+        pool = fixed[trial % 3] if trial < 3 else random_pool(rng, int(rng.integers(2, 8)))
+        schedules = [McmcSchedule(2, 3, 1, seed=1000 * trial + k) for k in range(len(pool))]
+        sweeps.clear()
+        starts = greedy_starts(data, pool, schedules)
+        pooled = list(sweeps)
+        widths = {s.n_classes for s in pool}
+        padded += len(widths) > 1
+        same_width += len(widths) == 1 and len(pool) > 1
+        dropped += any(active < len(pool) for active, _ in pooled)
+        assert all(width == max(widths) for _, width in pooled)
+        assert len(starts) == len(pool)
+        for system, schedule, start in zip(pool, schedules, starts):
+            (alone,) = greedy_starts(data, [system], [schedule])
+            assert start.candidates.shape == (INIT_RESTARTS, n)
+            assert np.array_equal(start.candidates, alone.candidates)
+            assert np.array_equal(start.joints, alone.joints)
+            assert start.rng.bit_generator.state == alone.rng.bit_generator.state
+            given = run_stored_chain(data, system, schedule, start)
+            own = run_stored_chain(data, system, schedule)
+            assert np.array_equal(given.partitions, own.partitions)
+            assert np.array_equal(given.logliks, own.logliks)
+    assert dropped and padded and same_width
+    assert greedy_starts(data, [], []) == []
+
+
+def test_a_start_serves_more_than_one_chain():
+    # the chain draws from a copy of the start's generator
+    data = self_cell_data(np.random.default_rng(43), 10)
+    system, schedule = gap_system(), McmcSchedule(3, 4, 1, seed=44)
+    (start,) = greedy_starts(data, [system], [schedule])
+    state = start.rng.bit_generator.state
+    first = run_stored_chain(data, system, schedule, start)
+    again = run_stored_chain(data, system, schedule, start)
+    assert start.rng.bit_generator.state == state
+    assert np.array_equal(first.partitions, again.partitions)
+
+
+def test_stored_chain_refuses_a_start_that_does_not_fit():
+    rng = np.random.default_rng(45)
+    data, system, schedule = self_cell_data(rng, 5), two_class_system(), McmcSchedule(1, 1, 1)
+    (longer,) = greedy_starts(self_cell_data(rng, 6), [system], [schedule])
+    with pytest.raises(DimensionError, match="do not end in the entity count 5"):
+        run_stored_chain(data, system, schedule, longer)
+    (start,) = greedy_starts(data, [system], [schedule])
+    wider = start._replace(candidates=np.full_like(start.candidates, 2))
+    with pytest.raises(DimensionError, match="max 2 with 2 classes"):
+        run_stored_chain(data, system, schedule, wider)
+    with pytest.raises(ValueError, match="shorter"):
+        greedy_starts(data, [system, system], [schedule])
 
 
 def mirror_case():
@@ -439,9 +527,9 @@ def test_stacked_argmax_sweep_equals_each_labeling_sweep(data, system):
     together = 0
     for _ in range(3):
         before = Z.copy()
-        _sweep_stored(Z, tables)
+        argmax_sweep(Z, tables)
         for z in rows:
-            _sweep_stored(z, tables)
+            argmax_sweep(z, tables)
         assert np.array_equal(Z, np.stack(rows))
         together += ((Z != before).sum(0) >= 2).sum()
     assert together

@@ -596,6 +596,34 @@ def test_cell_runs_each_chain_once_and_pairs_its_rows(monkeypatch):
     assert csv_of(rows, "irm", None) == emit_results_csv(irm_only)
 
 
+def test_cell_makes_its_pool_starts_in_one_call(monkeypatch):
+    # one greedy_starts call per cell, for the pool of its largest K, whose
+    # starts its chains take in pool order
+    import relgen.cli as cli
+
+    pools, given = [], []
+    real_starts, real_chain = cli.greedy_starts, cli.run_stored_chain
+
+    def starts(data, systems, schedules):
+        pools.append([s.name for s in systems])
+        return real_starts(data, systems, schedules)
+
+    def chain(data, system, schedule, start):
+        given.append((system.name, start))
+        return real_chain(data, system, schedule, start)
+
+    monkeypatch.setattr(cli, "greedy_starts", starts)
+    monkeypatch.setattr(cli, "run_stored_chain", chain)
+    config = tiny_config(stored_counts=(1, 3))
+    systems = materialize_systems(tiny_config(n_target_systems=4))
+    rows = run_experiment(config, systems)
+    assert all(r.status == "ok" for r in rows)
+    cells = config.n_target_systems * len(config.observed_fractions)
+    assert len(pools) == cells and all(len(p) == 3 for p in pools)
+    assert [name for name, _ in given] == [name for p in pools for name in p]
+    assert all(start is not None for _, start in given)
+
+
 def test_cell_builds_each_pool_report_once(monkeypatch):
     # a K's analogy row builds its report; a hybrid row builds none
     import relgen.cli as cli
@@ -683,9 +711,9 @@ def test_each_chain_estimates_its_evidence_once(monkeypatch):
     pool, stored, theories = [], [], []
     real_stored, real_theory = cli.run_stored_chain, cli.run_irm_chain
 
-    def stored_chain(data, system, schedule):
+    def stored_chain(data, system, schedule, start=None):
         pool.append(system)
-        stored.append(real_stored(data, system, schedule))
+        stored.append(real_stored(data, system, schedule, start))
         return stored[-1]
 
     def theory_chain(data, schedule):
