@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -34,9 +35,15 @@ from .core import (
 from .irm import McmcSchedule, _sample_logweights
 
 
-def _sweep_tables(data: RelationData, system: StoredSystem):
-    """(D, G, B, log class prior, log link tables, dG) of the chain for one
-    dataset.
+_Tables = namedtuple(
+    "_Tables", "D G B log_prior log_tables dG live pairs perms gathers gaps moves data system"
+)
+
+
+def _sweep_tables(data: RelationData, system: StoredSystem) -> _Tables:
+    """The tables of a chain of ``system`` on ``data``, built once per chain
+    and read by the greedy init and the chain alike; they keep ``data`` and
+    ``system``, so that a chain can refuse the tables of another pair.
 
     ``D[i, j]`` (n x n x 4) is the (r1, rt, c1, ct) tally row that entity i
     adds to entity j: j's out-cell (j, i) as a link and as observed, then
@@ -45,6 +52,14 @@ def _sweep_tables(data: RelationData, system: StoredSystem):
     the m classes.  ``B`` (n x m) holds each entity's log prior plus its
     self-cell term; zero-prior classes stay at -inf.  ``dG[a, b]`` is
     ``G[:, b] - G[:, a]`` for every class pair, each slice contiguous.
+
+    The swap table lists the pairs of ``live`` classes in (a, b) order, a < b
+    (``pairs``, 2 x P), with each swap's permutation of the classes
+    (``perms``, P x m), the flat indices that gather the stacked (2 x m x m)
+    class-pair counts it permutes, in C order (``gathers``, P x 2 x m x m),
+    and its prior gap log p_b - log p_a (``gaps``).  From the same rows,
+    ``moves`` holds the chain's (perm, gather, gap) entry for each ordered
+    pair, the gap negated for (b, a).
     """
     observed = data.observed_link_matrices
     links, nolinks = observed * ~np.eye(data.n_entities, dtype=bool)
@@ -58,7 +73,18 @@ def _sweep_tables(data: RelationData, system: StoredSystem):
     self_terms = np.stack([np.diagonal(log_link), np.diagonal(log_nolink)])
     B = log_prior + np.diagonal(observed, axis1=1, axis2=2).T @ self_terms
     dG = np.ascontiguousarray((G[:, None] - G[:, :, None]).transpose(1, 2, 0, 3))
-    return D, G, B, log_prior, log_tables, dG
+    m, live = log_prior.size, np.flatnonzero(system.class_probs > 0.0)
+    a, b = pairs = live[np.array(np.triu_indices(live.size, 1))]
+    perms, at = np.arange(m)[None].repeat(a.size, 0), np.arange(a.size)
+    perms[at, a], perms[at, b] = b, a
+    rows = np.arange(2)[:, None, None] * m + perms[:, None, :, None]
+    gathers = rows * m + perms[:, None, None, :]
+    gaps = log_prior[b] - log_prior[a]
+    moves = {}
+    for (i, j), perm, gather, gap in zip(pairs.T.tolist(), perms, gathers, gaps.tolist()):
+        moves[i, j], moves[j, i] = (perm, gather, gap), (perm, gather, -gap)
+    return _Tables(D, G, B, log_prior, log_tables, dG, live, pairs, perms, gathers, gaps, moves,
+                   data, system)
 
 
 def _stored_table(D, G, B, z) -> np.ndarray:
@@ -127,8 +153,8 @@ def _sweep_stored(z, tables, rng, screen=None):
     rebuilt once per sweep, since one carried across sweeps drifts in its
     last bits, and is touched only when an entity moves.
     """
-    D, G, B, _, _, dG = tables
-    L = _stored_table(D, G, B, z)
+    D, dG = tables.D, tables.dG
+    L = _stored_table(*tables[:3], z)
     n = len(labels := z.tolist())
     uniforms = rng.random(n)
     u = uniforms.tolist()
@@ -204,70 +230,33 @@ def sample_stored_assignments(
     return np.minimum(z, last_live).astype(np.int64)
 
 
-def _swap_perms(m: int, a, b) -> np.ndarray:
-    """Each class swap a[p] <-> b[p] as a permutation of the m classes."""
-    perms = np.arange(m)[None].repeat(a.size, 0)
-    rows = np.arange(a.size)
-    perms[rows, a] = b
-    perms[rows, b] = a
-    return perms
+def _swap_score(tables: _Tables, counts, sizes, ll: float, a: int, b: int):
+    """The chain's class swap a <-> b, scored in Python floats through its
+    prebuilt entry: its permutation, log-likelihood, and log-joint gain over
+    the state of counts ``counts``, class sizes ``sizes`` and ``ll``."""
+    perm, gather, gap = tables.moves[a, b]
+    new_ll = float(_loglik_from_counts(*counts.take(gather), tables.log_tables))
+    return perm, new_ll, new_ll - ll + (sizes[a] - sizes[b]) * gap
 
 
-def _swap_moves(counts, sizes, ll, tables, a, b):
-    """Score the class swaps a[p] <-> b[p] from the stacked class-pair link
-    and non-link counts, whose rows and columns a swap permutes.
-
-    Returns each swap's class permutation, log-likelihood, and log-joint gain
-    over the current state (likelihood change plus class-prior delta).
-    States stacked along the middle axes of ``counts`` (2 x … x m x m),
-    ``sizes`` (… x m) and ``ll`` (… x 1) are scored against every swap.
-    """
-    log_prior, log_tables = tables[3:5]
-    perms = _swap_perms(sizes.shape[-1], a, b)
-    # C order keeps each m x m sum contiguous, as it is for one state
-    swapped = np.ascontiguousarray(counts[..., perms[:, :, None], perms[:, None, :]])
-    new_ll = _loglik_from_counts(*swapped, log_tables)
-    prior_delta = (sizes[..., a] - sizes[..., b]) * (log_prior[b] - log_prior[a])
-    return perms, new_ll, new_ll - ll + prior_delta
-
-
-def _swap_table(log_prior, live) -> dict:
-    """The chain's class swaps, built once per chain: for each ordered pair
-    (a, b) of live classes, the swap's permutation, the (2 x m x m) flat
-    indices that gather the stacked class-pair counts it permutes in C order,
-    as `_swap_moves` gathers them, and the prior gap log p_b - log p_a."""
-    m = log_prior.size
-    pairs = live[np.array(np.triu_indices(live.size, 1))]
-    perms = _swap_perms(m, *pairs)
-    rows = np.arange(2)[:, None, None] * m + perms[:, None, :, None]
-    gathers = rows * m + perms[:, None, None, :]
-    table = {}
-    for (a, b), perm, gather in zip(pairs.T.tolist(), perms, gathers):
-        table[a, b] = perm, gather, float(log_prior[b] - log_prior[a])
-        table[b, a] = perm, gather, float(log_prior[a] - log_prior[b])
-    return table
-
-
-def _class_swap_move(z, counts, ll: float, tables, live, swaps, rng) -> tuple[np.ndarray, float]:
+def _class_swap_move(z, counts, ll: float, tables: _Tables, rng) -> tuple[np.ndarray, float]:
     """Metropolis move exchanging two class identities wholesale.
 
     Single-entity updates cannot cross between assignment modes that differ
     by a relabeling of classes — with sharp link probabilities every
     intermediate state is a likelihood cliff.  Swapping the entities of two
     classes in one proposal jumps the cliff directly; the acceptance ratio
-    needs only the permuted counts, one gather through the chain's
-    `_swap_table`, and the class-count prior delta, in Python floats.  A swap
-    of two empty classes is no move and draws no uniform.
+    needs only the permuted counts and the class-count prior delta, scored
+    by `_swap_score`.  A swap of two empty classes is no move and draws no
+    uniform.
     """
-    if live.size < 2:
+    if tables.live.size < 2:
         return z, ll
-    a, b = live[rng.permutation(live.size)[:2]].tolist()
+    a, b = tables.live[rng.permutation(tables.live.size)[:2]].tolist()
     sizes = np.bincount(z, minlength=counts.shape[-1]).tolist()
     if not (sizes[a] or sizes[b]):
         return z, ll
-    perm, gather, gap = swaps[a, b]
-    new_ll = float(_loglik_from_counts(*counts.take(gather), tables[4]))
-    log_ratio = new_ll - ll + (sizes[a] - sizes[b]) * gap
+    perm, new_ll, log_ratio = _swap_score(tables, counts, sizes, ll, a, b)
     if log_ratio >= 0 or rng.random() < np.exp(log_ratio):
         return perm[z], new_ll
     return z, ll
@@ -279,14 +268,27 @@ INIT_GREEDY_SWEEPS = 6
 
 class GreedyStart(NamedTuple):
     """A stored chain's start: its refined candidates (R x n), their log
-    joints, and the chain's generator after the candidates' prior draw."""
+    joints, the chain's generator after the candidates' prior draw, and the
+    `_Tables` of its system on its dataset, which the chain runs on."""
 
     candidates: np.ndarray
     joints: np.ndarray
     rng: np.random.Generator
+    tables: _Tables
 
 
-def _swap_scan(data, Z, tables, pairs) -> np.ndarray:
+def _swap_gains(tables: _Tables, counts, sizes, ll, start: int = 0):
+    """The init's batch: the log-likelihood and log-joint gain of each swap
+    of the swap table from ``start`` on.  States stacked along the leading
+    axes of ``counts`` (… x 2 x m x m), ``sizes`` (… x m) and ``ll`` (… x 1)
+    are scored against every swap, each m x m sum in C order."""
+    a, b = tables.pairs[:, start:]
+    swapped = counts.reshape(*counts.shape[:-3], -1).take(tables.gathers[start:], -1)
+    new_ll = _loglik_from_counts(*np.moveaxis(swapped, -3, 0), tables.log_tables)
+    return new_ll, new_ll - ll + (sizes[..., a] - sizes[..., b]) * tables.gaps[start:]
+
+
+def _swap_scan(Z, tables: _Tables) -> np.ndarray:
     """Take improving class swaps in each labeling of the stack ``Z`` (R x n),
     in place, and return the labelings' log-likelihoods.
 
@@ -294,28 +296,28 @@ def _swap_scan(data, Z, tables, pairs) -> np.ndarray:
     scored in one batch, the first improving one is taken, and the scan
     resumes after it; one batch scores every labeling's first scan.
     """
-    onehot = np.eye(tables[3].size)[Z]  # not pair_counts, as in the chain
-    counts = onehot.swapaxes(1, 2) @ data.observed_link_matrices[:, None] @ onehot
-    lls = _loglik_from_counts(*counts, tables[4])
+    onehot = np.eye(tables.log_prior.size)[Z]  # not pair_counts, as in the chain
+    counts = onehot.swapaxes(1, 2)[:, None] @ tables.data.observed_link_matrices @ onehot[:, None]
+    lls = _loglik_from_counts(*counts.swapaxes(0, 1), tables.log_tables)
     sizes = onehot.sum(1)
-    batch = _swap_moves(counts, sizes, lls[:, None], tables, *pairs)
-    for r in np.flatnonzero((batch[2] > 0).any(1)):
+    new_lls, all_gains = _swap_gains(tables, counts, sizes, lls[:, None])
+    for r in np.flatnonzero((all_gains > 0).any(1)):
         # a labeling that takes a swap scans on alone, from after it
-        perms, new_ll, gains = batch[0], batch[1][r], batch[2][r]
-        z, c, s, start = Z[r], counts[:, r], sizes[r], 0
+        z, c, s, new_ll, gains, start = Z[r], counts[r], sizes[r], new_lls[r], all_gains[r], 0
         while (better := np.flatnonzero(gains > 0)).size:
-            perm = perms[better[0]]
-            z, s, lls[r] = perm[z], s[perm], new_ll[better[0]]
-            c = c[:, perm[:, None], perm]
-            start += int(better[0]) + 1
-            perms, new_ll, gains = _swap_moves(c, s, lls[r], tables, *pairs[:, start:])
+            p = start + int(better[0])
+            perm = tables.perms[p]
+            z, s, c, lls[r] = perm[z], s[perm], c.take(tables.gathers[p]), new_ll[better[0]]
+            start = p + 1
+            new_ll, gains = _swap_gains(tables, c, s, lls[r], start)
         Z[r] = z
     return lls
 
 
 def greedy_starts(data: RelationData, systems, schedules) -> list[GreedyStart]:
     """The stored chains' starts for a pool: prior draws refined by argmax
-    sweeps and improving class swaps, one `GreedyStart` per system.
+    sweeps and improving class swaps, one `GreedyStart` per system, which
+    carries the system's `_sweep_tables` to its chain.
 
     Iterated conditional modes plus improving class swaps converge to a
     local optimum of the joint in a handful of sweeps; the chain starts from
@@ -330,25 +332,17 @@ def greedy_starts(data: RelationData, systems, schedules) -> list[GreedyStart]:
     sweeps.  Each start equals the one a pool of its system alone gives.
     """
     pool = list(zip(systems, schedules, strict=True))
-    return _greedy_starts(data, pool, [_sweep_tables(data, s) for s, _ in pool])
-
-
-def _greedy_starts(data, pool, tables) -> list[GreedyStart]:
-    """`greedy_starts` of the (system, schedule) pairs ``pool``, whose
-    `_sweep_tables` are ``tables``."""
     if not pool:
         return []
     n, R = data.n_entities, INIT_RESTARTS
+    tables = [_sweep_tables(data, s) for s, _ in pool]
     rngs = [np.random.default_rng(sched.seed) for _, sched in pool]
     Zs = [sample_stored_assignments(s, (R, n), rng) for (s, _), rng in zip(pool, rngs)]
     widths = [s.n_classes for s, _ in pool]
     M = max(widths)
     dG = np.zeros((len(pool), M, M, 4, M))
     for g, t, m in zip(dG, tables, widths):
-        g[:m, :m, :, :m] = t[5]
-    D = tables[0][0]
-    pairs = [live[np.array(np.triu_indices(live.size, 1))]
-             for live in (np.flatnonzero(s.class_probs > 0.0) for s, _ in pool)]
+        g[:m, :m, :, :m] = t.dG
     lls = [None] * len(pool)
     active = list(range(len(pool)))
     for _ in range(INIT_GREEDY_SWEEPS):
@@ -356,18 +350,18 @@ def _greedy_starts(data, pool, tables) -> list[GreedyStart]:
         L = np.full((Z.shape[0], n, M), -np.inf)
         for j, k in enumerate(active):
             L[j * R : (j + 1) * R, :, : widths[k]] = _stored_table(*tables[k][:3], Zs[k])
-        _argmax_sweep(Z, L, D, dG, np.repeat(active, R))
+        _argmax_sweep(Z, L, tables[0].D, dG, np.repeat(active, R))
         moved = []
         for j, k in enumerate(active):
             block = Z[j * R : (j + 1) * R]
-            lls[k] = _swap_scan(data, block, tables[k], pairs[k])
+            lls[k] = _swap_scan(block, tables[k])
             if not np.array_equal(block, Zs[k]):
                 moved.append(k)
             Zs[k] = block
         if not (active := moved):
             break
     return [
-        GreedyStart(z, ll + t[3][z].sum(1), rng)
+        GreedyStart(z, ll + t.log_prior[z].sum(1), rng, t)
         for z, ll, t, rng in zip(Zs, lls, tables, rngs)
     ]
 
@@ -386,26 +380,26 @@ def run_stored_chain(
     posterior concentrates on one assignment basin, and a cold start from
     the prior alone routinely strands the sampler in a side basin.  That
     start is ``start``, this system's entry of a pool's `greedy_starts`
-    for these schedules, or else one made for this system alone; the chain
-    draws on from a copy of its generator.  Each sweep then reassigns every
-    entity from its full conditional and attempts one class-swap Metropolis
-    move, which rescues the chain from relabeled modes that per-entity
-    updates cannot reach.  Retained draws record the Bernoulli
-    log-likelihood of the observed cells, computed from the class-pair
-    counts.  Fully determined by ``schedule.seed``.
+    for these schedules, or else ``greedy_starts(data, [system],
+    [schedule])[0]``; the chain runs on the start's tables, refusing a start
+    made for another dataset or system, and draws on from a copy of its
+    generator.  Each sweep then reassigns every entity from its full
+    conditional and attempts one class-swap Metropolis move, which rescues
+    the chain from relabeled modes that per-entity updates cannot reach.
+    Retained draws record the Bernoulli log-likelihood of the observed
+    cells, computed from the class-pair counts.  Fully determined by
+    ``schedule.seed``.
     """
-    tables = _sweep_tables(data, system)
     if start is None:
-        (start,) = _greedy_starts(data, [(system, schedule)], [tables])
-        rng = start.rng
-    else:
-        rng = np.random.Generator(copy.copy(start.rng.bit_generator))
+        (start,) = greedy_starts(data, [system], [schedule])
+    rng = np.random.Generator(copy.copy(start.rng.bit_generator))
+    tables = start.tables
+    if tables.data is not data or tables.system is not system:
+        raise ConfigError("the start was made for another dataset or system")
     z = np.array(_as_assignments(start.candidates[np.argmax(start.joints)]))
     _check_assignments(data, z, system.n_classes)
     observed, eye = data.observed_link_matrices, np.eye(system.n_classes)
-    live = np.flatnonzero(system.class_probs > 0.0)
     screen = _stay_screen(data.n_entities, system.n_classes)
-    swaps = _swap_table(tables[3], live)
     retained, moves = [], data.n_entities
     for sweep in range(schedule.total_sweeps):
         # each move costs a re-screen, so a screen pays only in a sweep
@@ -414,8 +408,8 @@ def run_stored_chain(
         moves = _sweep_stored(z, tables, rng, screen if 12 * moves < data.n_entities else None)
         onehot = eye[z]  # not pair_counts: its checks and one-hot take twice as long
         counts = onehot.T @ observed @ onehot
-        ll = float(_loglik_from_counts(*counts, tables[4]))
-        z, ll = _class_swap_move(z, counts, ll, tables, live, swaps, rng)
+        ll = float(_loglik_from_counts(*counts, tables.log_tables))
+        z, ll = _class_swap_move(z, counts, ll, tables, rng)
         if sweep in schedule.retained_sweeps:
             retained.append((z.copy(), ll))
     draws, logliks = zip(*retained)

@@ -571,6 +571,11 @@ def _scored_rows(results, bounds) -> list[ResultRow]:
     return rows
 
 
+def _check_workers(workers) -> None:
+    if _misfit(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+
+
 def run_experiment(
     config: ExperimentConfig,
     systems: list[StoredSystem] | None = None,
@@ -586,10 +591,11 @@ def run_experiment(
     A row that raises is recorded with an error marker and the run continues.
     Output is independent of ``workers``, which run whole cells; pass
     ``progress`` (a callable taking done and total row counts) for coarse
-    status reporting.  Raises
-    ConfigError, before any cell runs, when ``systems`` holds fewer than
+    status reporting.  Raises ConfigError, before any cell runs, when
+    ``workers`` is not a positive int, or ``systems`` holds fewer than
     ``config.n_target_systems`` systems or two systems of one name.
     """
+    _check_workers(workers)
     if systems is None:
         systems = materialize_systems(config)
     if len(systems) < config.n_target_systems:
@@ -882,8 +888,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.workers < 1:
-        raise UsageError(f"--workers: must be at least 1, got {args.workers}")
+    with _usage("--workers", ConfigError):  # run_experiment's rule, checked here to name the flag
+        _check_workers(args.workers)
     file_values = None
     if args.config:
         with _usage("--config", OSError, ValueError):

@@ -39,7 +39,8 @@ from relgen.analogy import (
     _move_entity,
     _stay_screen,
     _stored_table,
-    _swap_moves,
+    _swap_gains,
+    _swap_score,
     _sweep_stored,
     _sweep_tables,
 )
@@ -129,7 +130,7 @@ def check_table_tracks_oracle(data, system, z, seed, sweeps):
 def argmax_sweep(z, tables):
     """The greedy init's argmax sweep of one system, in place, over the
     labelings stacked along leading axes of ``z``."""
-    D, G, B, _, _, dG = tables
+    D, G, B, _, _, dG = tables[:6]
     Z = z.reshape(-1, z.shape[-1])
     _argmax_sweep(Z, _stored_table(D, G, B, Z), D, dG[None], np.zeros(len(Z), dtype=int))
 
@@ -401,15 +402,29 @@ def test_a_start_serves_more_than_one_chain():
 def test_stored_chain_refuses_a_start_that_does_not_fit():
     rng = np.random.default_rng(45)
     data, system, schedule = self_cell_data(rng, 5), two_class_system(), McmcSchedule(1, 1, 1)
-    (longer,) = greedy_starts(self_cell_data(rng, 6), [system], [schedule])
+    (start,) = greedy_starts(data, [system], [schedule])
+    longer = start._replace(candidates=np.zeros((INIT_RESTARTS, 6), dtype=np.int64))
     with pytest.raises(DimensionError, match="do not end in the entity count 5"):
         run_stored_chain(data, system, schedule, longer)
-    (start,) = greedy_starts(data, [system], [schedule])
     wider = start._replace(candidates=np.full_like(start.candidates, 2))
     with pytest.raises(DimensionError, match="max 2 with 2 classes"):
         run_stored_chain(data, system, schedule, wider)
     with pytest.raises(ValueError, match="shorter"):
         greedy_starts(data, [system, system], [schedule])
+
+
+def test_stored_chain_refuses_a_start_made_for_another_dataset_or_system():
+    # the start carries its system's tables on its dataset; without the
+    # check, another dataset of the same size, or an equal but distinct
+    # system, would run silently on the start's tables
+    rng = np.random.default_rng(46)
+    data, other = self_cell_data(rng, 5), self_cell_data(rng, 5)
+    system, schedule = two_class_system(), McmcSchedule(1, 1, 1)
+    (start,) = greedy_starts(data, [system], [schedule])
+    for d, s in ((other, system), (data, two_class_system()), (other, gap_system())):
+        with pytest.raises(ConfigError, match="made for another dataset or system"):
+            run_stored_chain(d, s, schedule, start)
+    run_stored_chain(data, system, schedule, start)
 
 
 def mirror_case():
@@ -541,24 +556,59 @@ def test_stacked_swap_scores_equal_each_state_scores(data, system):
     m = system.n_classes
     live = np.flatnonzero(system.class_probs > 0.0)
     pairs = live[np.array(np.triu_indices(live.size, 1))]
+    assert np.array_equal(tables.pairs, pairs)
+    for perm, a, b in zip(tables.perms, *pairs):
+        want = np.arange(m)
+        want[[a, b]] = b, a
+        assert np.array_equal(perm, want)
     Z = sample_stored_assignments(
         system, (INIT_RESTARTS, data.n_entities), np.random.default_rng(37)
     )
-    counts = pair_counts(data, Z, m).swapaxes(0, 1)
-    lls = _loglik_from_counts(*counts, tables[4])
+    counts = pair_counts(data, Z, m)
+    lls = _loglik_from_counts(*counts.swapaxes(0, 1), tables.log_tables)
     sizes = (Z[:, :, None] == np.arange(m)).sum(1)
-    perms, new_ll, gains = _swap_moves(counts, sizes, lls[:, None], tables, *pairs)
+    new_ll, gains = _swap_gains(tables, counts, sizes, lls[:, None])
     assert new_ll.shape == gains.shape == (INIT_RESTARTS, pairs.shape[1])
-    priors = tables[3][Z].sum(1)
+    priors = tables.log_prior[Z].sum(1)
     for r, z in enumerate(Z):
-        ll = float(_loglik_from_counts(*counts[:, r], tables[4]))
-        assert np.array_equal(counts[:, r], pair_counts(data, z, m))
+        ll = float(_loglik_from_counts(*counts[r], tables.log_tables))
+        assert np.array_equal(counts[r], pair_counts(data, z, m))
         assert np.array_equal(sizes[r], np.bincount(z, minlength=m))
-        assert lls[r] == ll and priors[r] == tables[3][z].sum()
-        one = _swap_moves(counts[:, r], sizes[r], ll, tables, *pairs)
-        assert np.array_equal(perms, one[0])
-        assert np.array_equal(new_ll[r], one[1])
-        assert np.array_equal(gains[r], one[2])
+        assert lls[r] == ll and priors[r] == tables.log_prior[z].sum()
+        one = _swap_gains(tables, counts[r], sizes[r], ll)
+        assert np.array_equal(new_ll[r], one[0])
+        assert np.array_equal(gains[r], one[1])
+        for perm, gather in zip(tables.perms, tables.gathers):
+            # a swap's gathered counts are the counts of its relabelled state
+            assert np.array_equal(counts[r].take(gather), pair_counts(data, perm[z], m))
+
+
+ONE_LIVE = StoredSystem("one-live", np.full((3, 3), 0.4), [0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "data, system", stack_cases() + [(self_cell_data(np.random.default_rng(39), 12), ONE_LIVE)]
+)
+def test_chain_swap_score_equals_init_batch_score(data, system):
+    # every ordered pair of live classes, (b, a) with its gap negated
+    # included, scores in the chain as in the init's batch for the same
+    # state, bit for bit; zero-prior classes have no entry
+    tables = _sweep_tables(data, system)
+    m, live = system.n_classes, tables.live.tolist()
+    assert set(tables.moves) == set(itertools.permutations(live, 2))
+    Z = sample_stored_assignments(system, (4, data.n_entities), np.random.default_rng(41))
+    eye = np.eye(m)
+    for z in Z:
+        counts = eye[z].T @ data.observed_link_matrices @ eye[z]  # as the chain counts
+        ll = float(_loglik_from_counts(*counts, tables.log_tables))
+        sizes = np.bincount(z, minlength=m)
+        new_ll, gains = _swap_gains(tables, counts, sizes, ll)
+        assert gains.shape == (len(live) * (len(live) - 1) // 2,)
+        for p, (a, b) in enumerate(tables.pairs.T.tolist()):
+            for x, y in ((a, b), (b, a)):
+                perm, chain_ll, gain = _swap_score(tables, counts, sizes.tolist(), ll, x, y)
+                assert np.array_equal(perm, tables.perms[p])
+                assert chain_ll == new_ll[p] and gain == gains[p]
 
 
 @pytest.mark.parametrize("n", [1, 7, 30])

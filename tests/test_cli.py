@@ -1,5 +1,7 @@
 """Seed derivation, config handling, the experiment grid, CSV, and commands."""
 
+import csv
+import io
 import json
 import os
 import pickle
@@ -455,6 +457,20 @@ def test_run_experiment_reports_progress_per_cell(workers):
     seen = []
     run_experiment(tiny_config(), workers=workers, progress=lambda *done: seen.append(done))
     assert seen == [(3 * cells, 18) for cells in range(1, 7)]
+
+
+def test_run_experiment_refuses_a_bad_worker_count(monkeypatch):
+    import relgen.cli as cli
+
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "_execute_cell", no_cell)
+    config = tiny_config(n_target_systems=1, observed_fractions=(0.5,), models=("irm",))
+    # each is refused before any cell runs, whatever its type
+    for workers in (0, -3, True, 2.5, "2", None):
+        with pytest.raises(ConfigError, match=f"positive integer, got {workers!r}"):
+            run_experiment(config, workers=workers)
 
 
 # (edge settings, held-out cells per row): no test set, no observed cell, n = 1
@@ -1235,6 +1251,29 @@ def test_cli_summarize_without_out_writes_stdout(tmp_path, capsys):
     assert main(["summarize", "--results", str(results)]) == 0
     assert capsys.readouterr().out == emit_summary_csv(summarize(sample_rows()))
     assert list(tmp_path.iterdir()) == [results]
+
+
+def test_cli_summarize_can_drop_the_smallest_fraction(tmp_path, capsys):
+    rows = [
+        ResultRow(target_system="t", model=model, n_stored=None if model == "irm" else 2,
+                  observed_fraction=frac, score=score, n_test=3)
+        for model, frac, score in [("irm", 0.1, 4.0), ("irm", 0.5, 2.0),
+                                   ("analogy", 0.1, 5.0), ("analogy", 0.3, 3.0)]
+    ]
+    results = tmp_path / "results.csv"
+    results.write_text(emit_results_csv(rows))
+    assert main(["summarize", "--results", str(results)]) == 0
+    kept = parse_summary_fractions(capsys.readouterr().out)
+    assert kept == [("irm", 0.1), ("irm", 0.5), ("analogy", 0.1), ("analogy", 0.3)]
+    assert main(["summarize", "--results", str(results), "--exclude-smallest-partition"]) == 0
+    text = capsys.readouterr().out
+    assert parse_summary_fractions(text) == [("irm", 0.5), ("analogy", 0.3)]
+    assert text == emit_summary_csv(summarize(rows, exclude_smallest_fraction=True))
+
+
+def parse_summary_fractions(text):
+    """The (model, observed fraction) of each row of a summary CSV."""
+    return [(r["model"], float(r["observed_fraction"])) for r in csv.DictReader(io.StringIO(text))]
 
 
 def test_cli_config_file_systems_dir_loads_the_files(tmp_path):
