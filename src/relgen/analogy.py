@@ -154,7 +154,7 @@ def _sweep_stored(z, tables, rng, screen=None):
     last bits, and is touched only when an entity moves.
     """
     D, dG = tables.D, tables.dG
-    L = _stored_table(*tables[:3], z)
+    L = _stored_table(D, tables.G, tables.B, z)
     n = len(labels := z.tolist())
     uniforms = rng.random(n)
     u = uniforms.tolist()
@@ -209,7 +209,9 @@ def gibbs_sweep_stored(
 
     Each entity's conditional is the class prior times the likelihood of its
     observed cells; classes with zero prior mass are never assigned.  Returns
-    a new assignment vector over the system's fixed class space.
+    a new assignment vector over the system's fixed class space.  Each call
+    builds a chain's whole tables, the swap table and the screen included,
+    so repeated sweeps belong in `run_stored_chain`.
     """
     z = np.array(_as_assignments(assignments))
     _check_assignments(data, z, system.n_classes)
@@ -349,7 +351,8 @@ def greedy_starts(data: RelationData, systems, schedules) -> list[GreedyStart]:
         Z = np.concatenate([Zs[k] for k in active])
         L = np.full((Z.shape[0], n, M), -np.inf)
         for j, k in enumerate(active):
-            L[j * R : (j + 1) * R, :, : widths[k]] = _stored_table(*tables[k][:3], Zs[k])
+            t = tables[k]
+            L[j * R : (j + 1) * R, :, : widths[k]] = _stored_table(t.D, t.G, t.B, Zs[k])
         _argmax_sweep(Z, L, tables[0].D, dG, np.repeat(active, R))
         moved = []
         for j, k in enumerate(active):
@@ -413,7 +416,7 @@ def run_stored_chain(
         if sweep in schedule.retained_sweeps:
             retained.append((z.copy(), ll))
     draws, logliks = zip(*retained)
-    return PosteriorSamples(draws, logliks, f"stored:{system.name}")
+    return PosteriorSamples(draws, logliks)
 
 
 def analogy_weights(log_evidences, log_priors=None) -> np.ndarray:

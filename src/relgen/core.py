@@ -332,7 +332,6 @@ class PosteriorSamples:
 
     partitions: np.ndarray
     logliks: np.ndarray
-    model_tag: str
     alphas: np.ndarray | None = None
     log_evidence: float = field(init=False)
 

@@ -31,6 +31,7 @@ from .core import (
 from .crp import sample_partition
 
 DEGENERATE_LINK_TOL = 1e-4
+GENERATION_ATTEMPTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -64,27 +65,26 @@ def generate_synthetic_system(
     alpha: float = 1.0,
     class_range: tuple[int, int] = (3, 6),
     probe_entities: int = 30,
-    max_attempts: int = 10_000,
 ) -> StoredSystem:
     """Draw one stored system with an acceptable number of classes.
 
-    CRP partitions of ``probe_entities`` are rejection-sampled until the
-    class count lands in ``class_range`` (inclusive); the accepted partition
-    fixes the class proportions, and link probabilities are i.i.d.
-    Beta(alpha, alpha).
+    CRP partitions of ``probe_entities`` are rejection-sampled, at most
+    ``GENERATION_ATTEMPTS`` times, until the class count lands in
+    ``class_range`` (inclusive); the accepted partition fixes the class
+    proportions, and link probabilities are i.i.d. Beta(alpha, alpha).
     """
     lo, hi = class_range
     if not (1 <= lo <= hi):
         raise ValueError(f"invalid class_range {class_range!r}")
     if probe_entities < lo:
         raise ValueError("probe_entities cannot be below the class minimum")
-    for _ in range(max_attempts):
+    for _ in range(GENERATION_ATTEMPTS):
         part = sample_partition(probe_entities, gamma, rng)
         if lo <= part.n_classes <= hi:
             break
     else:
         raise GenerationError(
-            f"no partition with {lo}..{hi} classes in {max_attempts} attempts "
+            f"no partition with {lo}..{hi} classes in {GENERATION_ATTEMPTS} attempts "
             f"(gamma={gamma}, {probe_entities} entities)"
         )
     m = part.n_classes

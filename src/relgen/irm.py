@@ -389,12 +389,12 @@ def gibbs_sweep(
     return state.to_partition()
 
 
-def _mh_step(value, log_target, rng, scale) -> float:
+def _mh_step(value, log_target, rng) -> float:
     """Log-normal random-walk Metropolis step with Jacobian correction.
 
     Proposals landing outside the hyperparameter box are rejected outright.
     """
-    prop = float(value * np.exp(scale * rng.standard_normal()))
+    prop = float(value * np.exp(MH_PROPOSAL_SCALE * rng.standard_normal()))
     if not (HYPER_MIN <= prop <= HYPER_MAX):
         return value
     log_ratio = log_target(prop) - log_target(value) + np.log(prop) - np.log(value)
@@ -403,17 +403,17 @@ def _mh_step(value, log_target, rng, scale) -> float:
     return value
 
 
-def _alpha_step(ones, zeros, hp: Hyperparameters, rng, scale) -> Hyperparameters:
+def _alpha_step(ones, zeros, hp: Hyperparameters, rng) -> Hyperparameters:
     """Metropolis step on alpha given the class-pair link/non-link counts."""
 
     def log_target(a: float) -> float:
         # power-law alpha^(-5/2) prior, truncated to the hyperparameter box
         return -2.5 * float(np.log(a)) + _collapsed_from_counts(ones, zeros, a)
 
-    return replace(hp, alpha=_mh_step(hp.alpha, log_target, rng, scale))
+    return replace(hp, alpha=_mh_step(hp.alpha, log_target, rng))
 
 
-def _gamma_step(counts, hp: Hyperparameters, rng, scale) -> Hyperparameters:
+def _gamma_step(counts, hp: Hyperparameters, rng) -> Hyperparameters:
     """Metropolis step on gamma given the class occupancies."""
     counts = np.asarray(counts, dtype=np.float64)
 
@@ -421,7 +421,7 @@ def _gamma_step(counts, hp: Hyperparameters, rng, scale) -> Hyperparameters:
         # Exponential(1) prior, truncated to the hyperparameter box
         return -float(g) + _log_prior_from_counts(counts, g)
 
-    return replace(hp, gamma=_mh_step(hp.gamma, log_target, rng, scale))
+    return replace(hp, gamma=_mh_step(hp.gamma, log_target, rng))
 
 
 def mh_update_alpha(
@@ -429,21 +429,19 @@ def mh_update_alpha(
     partition: Partition,
     hp: Hyperparameters,
     rng: np.random.Generator,
-    scale: float = MH_PROPOSAL_SCALE,
 ) -> Hyperparameters:
     """Metropolis update of the Beta concentration at a fixed partition."""
     ones, zeros = pair_counts(data, partition.assignments, partition.n_classes)
-    return _alpha_step(ones, zeros, hp, rng, scale)
+    return _alpha_step(ones, zeros, hp, rng)
 
 
 def mh_update_gamma(
     partition: Partition,
     hp: Hyperparameters,
     rng: np.random.Generator,
-    scale: float = MH_PROPOSAL_SCALE,
 ) -> Hyperparameters:
     """Metropolis update of the CRP concentration at a fixed partition."""
-    return _gamma_step(partition.counts, hp, rng, scale)
+    return _gamma_step(partition.counts, hp, rng)
 
 
 def run_irm_chain(
@@ -469,13 +467,13 @@ def run_irm_chain(
     for sweep in range(schedule.total_sweeps):
         _sweep(state, hp, rng)
         if sample_hyperparams:
-            hp = _alpha_step(*state.class_counts, hp, rng, MH_PROPOSAL_SCALE)
-            hp = _gamma_step(state.sizes, hp, rng, MH_PROPOSAL_SCALE)
+            hp = _alpha_step(*state.class_counts, hp, rng)
+            hp = _gamma_step(state.sizes, hp, rng)
         if sweep in schedule.retained_sweeps:
             ll = _collapsed_from_counts(*state.class_counts, hp.alpha)
             retained.append((canonical_labels(state.z), ll, hp.alpha))
     draws, logliks, alphas = zip(*retained)
-    return PosteriorSamples(draws, logliks, "irm", alphas)
+    return PosteriorSamples(draws, logliks, alphas)
 
 
 def irm_predict_cells(

@@ -106,7 +106,7 @@ def check_table_tracks_oracle(data, system, z, seed, sweeps):
     """Step the kernel's table through Gibbs sweeps, comparing every row
     with the slow conditional after each entity update; returns the moves."""
     tables = _sweep_tables(data, system)
-    D, G, B = tables[:3]
+    D, G, B = tables.D, tables.G, tables.B
     n = data.n_entities
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     moves = 0
@@ -117,7 +117,7 @@ def check_table_tracks_oracle(data, system, z, seed, sweeps):
             if i >= 0:
                 b = _sample_logweights(L[i].tolist(), rng.random())
                 if b != z[i]:
-                    L += _move_entity(D, tables[5], i, int(z[i]), b)
+                    L += _move_entity(D, tables.dG, i, int(z[i]), b)
                     z[i] = b
                     moves += 1
             expected = [stored_conditional(data, system, z, j) for j in range(n)]
@@ -130,7 +130,7 @@ def check_table_tracks_oracle(data, system, z, seed, sweeps):
 def argmax_sweep(z, tables):
     """The greedy init's argmax sweep of one system, in place, over the
     labelings stacked along leading axes of ``z``."""
-    D, G, B, _, _, dG = tables[:6]
+    D, G, B, dG = tables.D, tables.G, tables.B, tables.dG
     Z = z.reshape(-1, z.shape[-1])
     _argmax_sweep(Z, _stored_table(D, G, B, Z), D, dG[None], np.zeros(len(Z), dtype=int))
 
@@ -640,7 +640,6 @@ def test_stored_chain_matches_enumerated_posterior():
 
     sched = McmcSchedule(burn_in=200, n_retained=15_000, thinning=1, seed=41)
     samples = run_stored_chain(data, system, sched)
-    assert samples.model_tag == "stored:toy"
     freq: dict = {}
     for z in samples.partitions:
         key = tuple(int(v) for v in z)
@@ -885,7 +884,7 @@ def test_generator_recovery_single_trial():
         # was a bare IndexError
         (
             lambda pool, chains: stored_component_predictions(
-                PosteriorSamples([[0, 2, 1]], [-1.0], "stored:a"), pool[0], [(0, 1)]
+                PosteriorSamples([[0, 2, 1]], [-1.0]), pool[0], [(0, 1)]
             ),
             DimensionError,
         ),
@@ -897,7 +896,7 @@ def test_generator_recovery_single_trial():
 )
 def test_analogy_refuses_malformed_input(call, error):
     pool = [two_class_system("a"), two_class_system("b")]
-    chains = [PosteriorSamples([[0, 1, 0]], [-1.0], f"stored:{s.name}") for s in pool]
+    chains = [PosteriorSamples([[0, 1, 0]], [-1.0]) for _ in pool]
     with pytest.raises(error) as caught:
         call(pool, chains)
     assert type(caught.value) is error

@@ -752,7 +752,7 @@ def test_each_chain_estimates_its_evidence_once(monkeypatch):
         assert chain.log_evidence == harmonic_mean_evidence(chain.logliks)
         assert pickle.loads(pickle.dumps(chain)).log_evidence == chain.log_evidence
     with pytest.raises(TypeError):
-        PosteriorSamples(theory.partitions, theory.logliks, "irm", log_evidence=0.0)
+        PosteriorSamples(theory.partitions, theory.logliks, log_evidence=0.0)
 
 
 def test_run_experiment_global_tau_is_shared():

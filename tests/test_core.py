@@ -157,18 +157,18 @@ def test_hyperparameters_bounds():
 
 def test_posterior_samples_validation():
     z = np.zeros(3, dtype=np.int64)
-    PosteriorSamples((z,), np.array([-1.0]), "irm", alphas=np.array([1.0]))
+    PosteriorSamples((z,), np.array([-1.0]), alphas=np.array([1.0]))
     with pytest.raises(ValueError):
-        PosteriorSamples((), np.array([]), "irm")
+        PosteriorSamples((), np.array([]))
     with pytest.raises(ValueError):
-        PosteriorSamples((z,), np.array([np.nan]), "irm")
+        PosteriorSamples((z,), np.array([np.nan]))
     with pytest.raises(DimensionError):
-        PosteriorSamples((z,), np.array([-1.0]), "irm", alphas=np.array([1.0, 2.0]))
+        PosteriorSamples((z,), np.array([-1.0]), alphas=np.array([1.0, 2.0]))
 
 
 def test_posterior_samples_is_one_read_only_array():
     draws = [np.array([0, 1, 1]), np.array([0, 0, 1])]
-    samples = PosteriorSamples(draws, [-1.0, -2.0], "irm")
+    samples = PosteriorSamples(draws, [-1.0, -2.0])
     assert samples.partitions.shape == (2, 3)
     assert samples.partitions.dtype == np.int64
     assert not samples.partitions.flags.writeable
@@ -176,7 +176,7 @@ def test_posterior_samples_is_one_read_only_array():
     ragged = ([np.zeros(2), np.zeros(3)], [np.zeros((2, 3))], [np.zeros((2, 3))] * 2)
     for bad in ragged:
         with pytest.raises(DimensionError, match="1-d assignment vector of one length"):
-            PosteriorSamples(bad, np.full(len(bad), -1.0), "irm")
+            PosteriorSamples(bad, np.full(len(bad), -1.0))
 
 
 def test_pair_counts_matches_loops():
@@ -431,7 +431,7 @@ def _mask_with(value):
         (lambda d: Partition(np.array([-1, 0])), DimensionError),
         (lambda d: StoredSystem("s", _LINK, [1.0]), DimensionError),
         (lambda d: StoredSystem("s", _LINK, [0.5, 0.5], ("a",)), DimensionError),
-        (lambda d: PosteriorSamples([[0, 0, 0]], [-1.0, -2.0], "irm"), DimensionError),
+        (lambda d: PosteriorSamples([[0, 0, 0]], [-1.0, -2.0]), DimensionError),
         (lambda d: collapsed_loglik(d, [0, 1, 0], 0.0), ValueError),
         (lambda d: collapsed_loglik(d, [0, 1, 0], -1.0), ValueError),
         (lambda d: predictive_prob(np.zeros(0), np.zeros(0)), ValueError),
@@ -443,7 +443,7 @@ def _mask_with(value):
         (lambda d: RelationData(2, _EYE, _mask_with(2.0)), ValueError),
         (lambda d: RelationData(2, _EYE, _mask_with(-1)), ValueError),
         (lambda d: RelationData(2, _EYE, _UNOBSERVED, ((1.7, 0.2),)), TypeError),
-        (lambda d: PosteriorSamples([[0, 1]], [-1.0], "irm").cell_classes([(0.9, 1.2)]),
+        (lambda d: PosteriorSamples([[0, 1]], [-1.0]).cell_classes([(0.9, 1.2)]),
          TypeError),
         (lambda d: canonical_labels([0.9, 1.5]), TypeError),
         (lambda d: collapsed_loglik(d, [0.9, 1.5, 0], 1.0), TypeError),
@@ -452,14 +452,14 @@ def _mask_with(value):
         (lambda d: pair_counts(d, [0.5, 1.5, 0], 2), TypeError),
         (lambda d: canonical_labels([True, False]), TypeError),
         # draws were truncated, and a label -1 read as a stored system's last class
-        (lambda d: PosteriorSamples([[0.5, 1.7]], [-1.0], "irm"), TypeError),
-        (lambda d: PosteriorSamples([[True, False]], [-1.0], "irm"), TypeError),
-        (lambda d: PosteriorSamples([[-1, 0]], [-1.0], "irm"), DimensionError),
+        (lambda d: PosteriorSamples([[0.5, 1.7]], [-1.0]), TypeError),
+        (lambda d: PosteriorSamples([[True, False]], [-1.0]), TypeError),
+        (lambda d: PosteriorSamples([[-1, 0]], [-1.0]), DimensionError),
         # theory predictions read these alphas as NaN, or -1 as a silent 0.5
-        (lambda d: PosteriorSamples([[0, 1]], [-1.0], "irm", alphas=[0.0]), ValueError),
-        (lambda d: PosteriorSamples([[0, 1]], [-1.0], "irm", alphas=[np.inf]), ValueError),
-        (lambda d: PosteriorSamples([[0, 1]], [-1.0], "irm", alphas=[np.nan]), ValueError),
-        (lambda d: PosteriorSamples([[0, 1]], [-1.0], "irm", alphas=[-1.0]), ValueError),
+        (lambda d: PosteriorSamples([[0, 1]], [-1.0], alphas=[0.0]), ValueError),
+        (lambda d: PosteriorSamples([[0, 1]], [-1.0], alphas=[np.inf]), ValueError),
+        (lambda d: PosteriorSamples([[0, 1]], [-1.0], alphas=[np.nan]), ValueError),
+        (lambda d: PosteriorSamples([[0, 1]], [-1.0], alphas=[-1.0]), ValueError),
     ],
     ids=[
         "2-d labels",

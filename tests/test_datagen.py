@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import relgen.datagen as datagen
 from relgen import (
     GenerationError,
     SplitError,
@@ -53,13 +54,13 @@ def test_generate_synthetic_system_properties():
     assert_allclose(a.class_probs, b.class_probs)
 
 
-def test_generate_gives_up_when_range_unreachable():
+def test_generate_gives_up_when_range_unreachable(monkeypatch):
+    monkeypatch.setattr(datagen, "GENERATION_ATTEMPTS", 40)
     with pytest.raises(GenerationError):
         generate_synthetic_system(
             np.random.default_rng(0),
             class_range=(9, 9),
             probe_entities=9,
-            max_attempts=40,
         )  # nine singleton classes almost never happens
 
 

@@ -485,14 +485,15 @@ def test_exact_theory_evidence(alpha):
     assert_allclose(log_ev, np.logaddexp(*terms), rtol=1e-12)
 
 
-def test_mh_accepts_identical_proposal_without_drawing_uniform():
+def test_mh_accepts_identical_proposal_without_drawing_uniform(monkeypatch):
     # zero proposal scale makes the proposal equal the current value; the
     # ratio is then exactly 1 and the step must accept outright
+    monkeypatch.setattr(irm, "MH_PROPOSAL_SCALE", 0.0)
     data = random_data(np.random.default_rng(1), 3)
     part = Partition.from_assignments([0, 1, 1])
     hp = Hyperparameters(alpha=0.7, gamma=1.2)
     rng = np.random.default_rng(10)
-    out = mh_update_alpha(data, part, hp, rng, scale=0.0)
+    out = mh_update_alpha(data, part, hp, rng)
     assert out.alpha == hp.alpha
     # exactly one normal variate consumed, no acceptance uniform
     ref = np.random.default_rng(10)
@@ -540,7 +541,6 @@ def test_run_chain_shapes_and_bookkeeping():
     data = random_data(rng, 8)
     sched = McmcSchedule(burn_in=30, n_retained=12, thinning=3, seed=5)
     samples = run_irm_chain(data, sched)
-    assert samples.model_tag == "irm"
     assert len(samples.partitions) == 12
     assert samples.alphas.shape == (12,)
     assert np.all(samples.alphas >= 1e-3) and np.all(samples.alphas <= 1e3)
@@ -617,8 +617,6 @@ def test_predict_requires_alpha_record():
     data = random_data(np.random.default_rng(3), 4)
     from relgen import PosteriorSamples
 
-    bare = PosteriorSamples(
-        (np.zeros(4, dtype=np.int64),), np.array([-1.0]), "stored:x"
-    )
+    bare = PosteriorSamples((np.zeros(4, dtype=np.int64),), np.array([-1.0]))
     with pytest.raises(ConfigError):
         irm_predict_cells(bare, data, ((0, 1),))
