@@ -71,7 +71,7 @@ from .hybrid import (
 from .irm import McmcSchedule, irm_predict_cells, run_irm_chain
 
 VALID_MODELS = ("irm", "analogy", "hybrid")
-VALID_TAU_MODES = ("per-cell", "global", "validation-split")
+VALID_TAU_MODES = ("per-cell", "global")
 _MODEL_ORDER = {name: i for i, name in enumerate(VALID_MODELS)}
 
 _MASK64 = (1 << 64) - 1
@@ -282,17 +282,14 @@ def evaluate(predictions, truths) -> float:
 class _HybridPayload:
     """A hybrid fit's pieces, kept so tau can be chosen after the chains ran.
 
-    ``components`` and ``truths`` cover the test cells that score the row;
-    ``tau_components`` and ``tau_truths`` the cells tau is chosen on, the
-    same arrays unless a validation slice picks tau.
+    ``components`` and ``truths`` cover the test cells, which both choose
+    tau and score the row.
     """
 
     names: tuple[str, ...]
     components: np.ndarray
     log_evidences: np.ndarray
     truths: np.ndarray
-    tau_components: np.ndarray
-    tau_truths: np.ndarray
 
 
 def _cell_rows(config: ExperimentConfig) -> list[tuple[str, int | None]]:
@@ -365,10 +362,6 @@ def _pool_prefix(pool, k: int) -> list[StoredSystem]:
     return pool[:k]
 
 
-def _truths(data: RelationData, cells) -> np.ndarray:
-    return np.asarray([data.cells[r, c] for r, c in cells], dtype=np.int64)
-
-
 class _Cell:
     """One split's chains, each run at most once, and every row cut from them.
 
@@ -388,15 +381,13 @@ class _Cell:
     no theory chain.
 
     A hybrid row comes back unscored, with the payload `_score_hybrid` needs
-    to choose its tau: on the test cells, or on validation cells drawn with
-    ``validation_seed`` when that is set.
+    to choose its tau on the test cells.
     """
 
-    def __init__(self, data, pool, counts, schedule, seed, validation_seed=None):
+    def __init__(self, data, pool, counts, schedule, seed):
         self.data, self.pool, self.schedule, self.seed = data, pool, schedule, seed
         self.n_run = max((k for k in counts if k <= len(pool)), default=0)
-        self.validation_seed = validation_seed
-        self.truths = _truths(data, data.test_cells)
+        self.truths = np.array([data.cells[r, c] for r, c in data.test_cells], dtype=np.int64)
 
     def _seeded(self, *label) -> McmcSchedule:
         return self.schedule.with_seed(derive_seed(self.seed, *label))
@@ -432,30 +423,23 @@ class _Cell:
             weights = tuple(zip(report.names, (float(x) for x in report.weights)))
             return {"score": evaluate(preds, truths), "weights": weights}, preds, report
         log_ev = hybrid_log_evidences(chains, self.theory)
-        tau_cells = ()
-        if self.validation_seed is not None:
-            tau_cells = _validation_cells(data, self.validation_seed)
-        # one call for the test and tau cells: each cell's value is computed
-        # on its own, so splitting after the call keeps every bit
-        comps = hybrid_component_predictions(chains, self.theory, systems, data, cells + tau_cells)
-        n, names = len(cells), tuple(s.name for s in systems)
-        tau = (comps[n:], _truths(data, tau_cells)) if tau_cells else (comps, truths)
-        payload = _HybridPayload(names, comps[:n], log_ev, truths, *tau)
+        comps = hybrid_component_predictions(chains, self.theory, systems, data, cells)
+        payload = _HybridPayload(tuple(s.name for s in systems), comps, log_ev, truths)
         return {"score": None}, None, payload
 
 
 def _score_hybrid(payloads, bounds) -> list[tuple[dict, np.ndarray]]:
     """Score hybrid payloads at one tau, chosen jointly over all of them.
 
-    tau maximizes the mixture's summed log predictive on the payloads' tau
+    tau maximizes the mixture's summed log predictive on the payloads' test
     cells, within ``bounds``, optimize_tau's (lower, upper) on log10(tau).
     Returns each payload's scored row fields and test predictions at it.
     """
     tau_star = optimize_tau(
         lambda tau: sum(
             -evaluate(
-                predictive_prob(p.tau_components, hybrid_weights(p.log_evidences, tau)),
-                p.tau_truths,
+                predictive_prob(p.components, hybrid_weights(p.log_evidences, tau)),
+                p.truths,
             )
             for p in payloads
         ),
@@ -475,19 +459,6 @@ def _score_hybrid(payloads, bounds) -> list[tuple[dict, np.ndarray]]:
     return out
 
 
-def _validation_cells(data: RelationData, seed: int) -> tuple:
-    n = data.n_entities
-    spare = ~data.observed_mask
-    spare[tuple(np.array(data.test_cells, dtype=np.int64).reshape(-1, 2).T)] = False
-    free = np.flatnonzero(spare)
-    if free.size == 0:
-        raise ConfigError("validation-split tau mode needs unobserved spare cells")
-    rng = np.random.default_rng(seed)
-    take = min(len(data.test_cells), free.size) or free.size
-    picked = np.sort(rng.permutation(free)[:take])
-    return tuple((int(i) // n, int(i) % n) for i in picked)
-
-
 def _error_fields(exc: Exception) -> dict:
     """The fields that mark a row as failed by ``exc``."""
     return dict(score=None, n_test=0, status="error", error=f"{type(exc).__name__}: {exc}")
@@ -503,18 +474,12 @@ def _execute_cell(config: ExperimentConfig, systems, target_index, fraction_inde
     """
     target = systems[target_index]
     seed = derive_seed(config.master_seed, "cell", target.name, fraction_index)
-    validation_seed = None
-    if config.tau_mode == "validation-split":
-        validation_seed = derive_seed(
-            config.master_seed, "validation", target.name, fraction_index
-        )
     cell = _Cell(
         _split_data(config, target, fraction_index),
         _pool_for(config, systems, target_index),
         config.stored_counts,
         McmcSchedule(config.burn_in, config.n_retained, config.thinning),
         seed,
-        validation_seed,
     )
     out = []
     for model, k in _cell_rows(config):

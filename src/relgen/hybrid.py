@@ -24,6 +24,7 @@ from .irm import irm_predict_cells
 TAU_LOG10_LOWER = -4.0
 TAU_LOG10_UPPER = 4.0
 TAU_TOL = 1e-4
+TAU_TIE = 1e-9
 
 
 def hybrid_prior(n_stored: int, tau: float) -> np.ndarray:
@@ -87,10 +88,12 @@ def optimize_tau(
     ``lower``/``upper`` bound log10(tau); ``score_fn`` receives tau itself.
     Two interior points split the bracket in the golden ratio; each step keeps
     the side holding the better point, and on a tie the lower side.  Once the
-    bracket is narrower than the fixed tolerance ``TAU_TOL`` the search
-    returns the best of the better interior point and the two interval
-    endpoints, so a monotone score yields the bound exactly.  Deterministic; a
-    non-finite score raises an OptimizationError carrying the offending tau.
+    bracket is narrower than the fixed tolerance ``TAU_TOL``, let f* be the
+    best score of the better interior point and the two endpoints: the better
+    endpoint within ``TAU_TIE * max(1, |f*|)`` of f* wins, the lower on a tie,
+    else the interior point.  So a score monotone or flat toward a bound
+    yields that bound exactly.  Deterministic; a non-finite score raises an
+    OptimizationError carrying the offending tau.
     """
     if not (np.isfinite(lower) and np.isfinite(upper) and lower < upper):
         raise ValueError(f"need finite lower < upper, got [{lower}, {upper}]")
@@ -117,8 +120,9 @@ def optimize_tau(
             fd = g(d)
 
     best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    for endpoint in (lower, upper):
-        f_end = g(endpoint)
-        if f_end > best_f:
-            best_x, best_f = endpoint, f_end
+    ends = [(g(x), x) for x in (lower, upper)]
+    f_top = max(best_f, *(f for f, _ in ends))
+    near = [end for end in ends if end[0] >= f_top - TAU_TIE * max(1.0, abs(f_top))]
+    if near:  # max keeps the first, the lower endpoint, on a tie
+        best_x = max(near, key=lambda end: end[0])[1]
     return 10.0 ** best_x

@@ -189,6 +189,8 @@ WRONG_TYPES = [
         dict(generation_gamma=float("nan")),
         dict(generation_gamma=float("inf")),
         dict(generation_alpha=0.0),
+        # a retired tau mode: a config file naming it is refused, not ignored
+        dict(tau_mode="validation-split"),
     ],
 )
 def test_config_rejects_bad_values(bad):
@@ -685,26 +687,6 @@ def test_cli_infer_builds_the_pool_report_once(tmp_path, monkeypatch, model):
     assert len(Path(f"{out}.report.csv").read_text().splitlines()) == 4
 
 
-def test_validation_split_hybrid_row_makes_one_component_call(monkeypatch):
-    # the test and validation cells go through one call, split after it
-    import relgen.cli as cli
-
-    calls = []
-    real = cli.hybrid_component_predictions
-
-    def counting(stored, theory, systems, data, cells):
-        calls.append(len(cells))
-        return real(stored, theory, systems, data, cells)
-
-    monkeypatch.setattr(cli, "hybrid_component_predictions", counting)
-    config = tiny_config(n_target_systems=1, observed_fractions=(0.5,),
-                         models=("hybrid",), tau_mode="validation-split")
-    (row,) = run_experiment(config, materialize_systems(tiny_config(n_target_systems=3)))
-    assert row.status == "ok" and row.score is not None
-    # 6 test cells and as many validation cells
-    assert calls == [2 * row.n_test]
-
-
 def test_run_experiment_refuses_repeated_system_names():
     # refused before any cell runs, not as errors of the rows whose pool
     # holds both systems
@@ -872,43 +854,6 @@ def test_benchmark_tracer_sees_every_grid_layer(tau_mode, monkeypatch):
         assert len(searches) == hybrid_rows
         per_search = 1
     assert all(a["evals"] > 0 and a["cells"] == a["evals"] * per_search for a in searches)
-
-
-def test_run_experiment_validation_split_mode():
-    config = tiny_config(models=("hybrid",), tau_mode="validation-split")
-    rows = run_experiment(config)
-    assert all(r.status == "ok" for r in rows)
-    assert all(r.tau_star is not None for r in rows)
-
-
-def _split(n, observed, test_cells):
-    mask = np.zeros((n, n), dtype=bool)
-    for r, c in observed:
-        mask[r, c] = True
-    return RelationData(n, np.zeros((n, n), dtype=np.int8), mask, tuple(test_cells))
-
-
-def test_validation_cells_are_spare_sorted_and_seeded():
-    from relgen.cli import _validation_cells
-
-    n = 6
-    observed = [(r, c) for r in range(n) for c in range(n) if (r + c) % 3 == 0]
-    data = _split(n, observed, [(0, 1), (2, 3), (4, 4)])
-    cells = _validation_cells(data, seed=11)
-    assert len(cells) == 3  # as many as the test cells
-    assert not set(cells) & (set(observed) | set(data.test_cells))
-    assert list(cells) == sorted(cells)
-    assert _validation_cells(data, seed=11) == cells
-    assert {_validation_cells(data, seed) for seed in range(20)} != {cells}
-
-    # fewer spare cells than test cells, or no test cells: every spare cell
-    spare = {(r, c) for r in range(n) for c in range(n)} - set(observed)
-    crowded = _split(n, observed, sorted(spare)[:-2])
-    assert _validation_cells(crowded, seed=3) == tuple(sorted(spare)[-2:])
-    untested = _split(n, observed, [])
-    assert _validation_cells(untested, seed=3) == tuple(sorted(spare))
-    with pytest.raises(ConfigError):
-        _validation_cells(_split(n, observed, sorted(spare)), seed=3)
 
 
 def test_include_target_in_pool_changes_membership():

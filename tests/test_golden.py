@@ -44,7 +44,7 @@ from relgen import (
 from test_cli import tiny_config
 
 GOLDEN = Path(__file__).parent / "golden"
-TAU_MODES = ("per-cell", "global", "validation-split")
+TAU_MODES = ("per-cell", "global")
 INFER_MODELS = ("irm", "analogy", "hybrid")
 # (entities, observed fraction, seed): the sparse 20-entity split's chain
 # opens and closes classes throughout its retained draws

@@ -31,7 +31,7 @@ from relgen import (
     stored_component_predictions,
 )
 
-from relgen.hybrid import TAU_TOL
+from relgen.hybrid import TAU_TIE, TAU_TOL
 
 from test_analogy import two_class_system
 from test_core import random_data
@@ -181,11 +181,29 @@ def test_optimize_tau_monotone_hits_bounds():
     assert_allclose(np.log10(rising), 4.0, atol=1e-9)
     falling = optimize_tau(lambda t: -np.log10(t))
     assert_allclose(np.log10(falling), -4.0, atol=1e-9)
-    # a flat score ties everywhere: each tie keeps the lower bracket, so one
-    # fixed interior answer next to the lower bound, call after call
+    # a flat score ties everywhere, both bounds included: the lower bound
     flat = optimize_tau(lambda t: 1.0)
-    assert flat == optimize_tau(lambda t: 1.0)
-    assert -4.0 < np.log10(flat) < -4.0 + TAU_TOL
+    assert flat == 10**-4
+
+
+def test_optimize_tau_bound_wins_only_within_tau_tie():
+    # flat inside the bracket, lower toward the bounds by a gap relative to
+    # max(1, |score|); ties inside keep the lower bracket, so the interior
+    # answer sits next to the lower bound
+    for base in (0.0, -1e3):
+        scale = max(1.0, abs(base))
+
+        def search(lower_gap, upper_gap):
+            gaps = {10.0**-4: lower_gap, 10.0**4: upper_gap}
+            return optimize_tau(lambda t: base - gaps.get(t, 0.0) * scale)
+
+        # within the tie: the bound, the better of two, and the lower on a tie
+        assert search(1.0, 0.5 * TAU_TIE) == 10**4
+        assert search(0.5 * TAU_TIE, 0.25 * TAU_TIE) == 10**4
+        assert search(0.5 * TAU_TIE, 0.5 * TAU_TIE) == 10**-4
+        # just outside it on both sides: the interior point
+        inside = search(2 * TAU_TIE, 2 * TAU_TIE)
+        assert -4.0 < np.log10(inside) < -4.0 + TAU_TOL
 
 
 def test_optimize_tau_two_peaks_returns_local_maximum():
